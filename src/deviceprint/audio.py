@@ -131,6 +131,9 @@ def read_wav(path):
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if n_channels < 1 or sample_rate <= 0:
         raise FormatError(f"{path}: bad channel count or sample rate")
+    if len(data) % max(bits // 8, 1):
+        raise FormatError(f"{path}: data chunk of {len(data)} bytes is not "
+                          f"a whole number of {bits}-bit samples")
 
     if audio_format == 1:
         if bits == 8:
@@ -138,8 +141,7 @@ def read_wav(path):
         elif bits == 16:
             x = np.frombuffer(data, "<i2").astype(np.float64) / 32768.0
         elif bits == 24:
-            b = np.frombuffer(data, np.uint8)
-            b = b[: (b.size // 3) * 3].reshape(-1, 3).astype(np.int32)
+            b = np.frombuffer(data, np.uint8).reshape(-1, 3).astype(np.int32)
             v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
             v[v >= 1 << 23] -= 1 << 24
             x = v.astype(np.float64) / float(1 << 23)

@@ -21,8 +21,13 @@ from .nn import (AdamState, AvgPool3d, BatchNorm3d, BiLstm, Conv3d, Dense,
                  SelfAttention, adam_step, softmax_cross_entropy)
 
 
-def _pool_out(n, window, stride):
-    out = (n - window) // stride + 1
+# maxpool1, maxpool2 and the average pool: none spans time, each halves the
+# spatial axes
+_POOL_WINDOWS = ((1, 2, 2),) * 3
+
+
+def _pool_out(n, window):
+    out = (n - window) // window + 1
     if out < 1:
         raise ConfigError(f"spatial extent {n} collapses under a "
                           f"{window}-wide pool")
@@ -54,14 +59,11 @@ class ArchitectureConfig:
 
     def spatial_trace(self):
         """(height, width) after each pooling stage."""
-        m, g, _ = self.input_dims
+        h, w, _ = self.input_dims
         trace = []
-        h, w = m, g
-        for _ in range(2):
-            h, w = _pool_out(h, 2, 2), _pool_out(w, 2, 2)
+        for _, wh, ww in _POOL_WINDOWS:
+            h, w = _pool_out(h, wh), _pool_out(w, ww)
             trace.append((h, w))
-        h, w = _pool_out(h, 2, 2), _pool_out(w, 2, 2)
-        trace.append((h, w))
         return trace
 
     def flatten_size(self):
@@ -121,9 +123,9 @@ class C3dBiLstm:
                         rng=rng)
         self.layers = [
             self.pw,
-            self.conv1, self.bn1, ReLU(), MaxPool3d((1, 2, 2)),
-            self.conv2, self.bn2, ReLU(), MaxPool3d((1, 2, 2)),
-            AvgPool3d((1, 2, 2)),
+            self.conv1, self.bn1, ReLU(), MaxPool3d(_POOL_WINDOWS[0]),
+            self.conv2, self.bn2, ReLU(), MaxPool3d(_POOL_WINDOWS[1]),
+            AvgPool3d(_POOL_WINDOWS[2]),
             FlattenPerStep(),
             self.bilstm,
         ]
@@ -156,11 +158,13 @@ class C3dBiLstm:
         return arrays
 
     def load_state(self, arrays):
-        for name, p in self.params.items():
+        """Restore state_arrays(); every name and shape is checked first."""
+        for name, current in self.state_arrays().items():
             if name not in arrays:
-                raise ConfigError(f"checkpoint is missing parameter {name!r}")
-            if arrays[name].shape != p.value.shape:
+                raise ConfigError(f"checkpoint is missing array {name!r}")
+            if np.shape(arrays[name]) != current.shape:
                 raise ShapeError(f"checkpoint shape mismatch for {name!r}")
+        for name, p in self.params.items():
             p.value[...] = arrays[name]
         for name, bn in (("bn1", self.bn1), ("bn2", self.bn2)):
             bn.running_mean = arrays[f"{name}.running_mean"].copy()

@@ -64,6 +64,17 @@ def check_conv3d(seed=0):
     return _check_layer(layer, x, [layer.w, layer.b], rng=rng)
 
 
+def check_conv3d_strided(seed=0):
+    # stride 2 with a dropped remainder on H and W exercises the dilated
+    # input-gradient path
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    layer = Conv3d(store, "conv", 2, 3, (3, 3, 2), stride=(1, 2, 2),
+                   padding=(1, 1, 0), rng=rng)
+    x = rng.standard_normal((2, 2, 3, 6, 7))
+    return _check_layer(layer, x, [layer.w, layer.b], rng=rng)
+
+
 def check_pointwise_conv(seed=0):
     rng = np.random.default_rng(seed)
     store = ParamStore()
@@ -167,6 +178,7 @@ def check_softmax_cross_entropy(seed=0):
 
 ALL_CHECKS = [
     ("conv3d", check_conv3d),
+    ("conv3d_strided", check_conv3d_strided),
     ("pointwise_conv", check_pointwise_conv),
     ("batchnorm3d_train", check_batchnorm3d),
     ("maxpool3d", check_maxpool3d),

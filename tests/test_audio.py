@@ -55,6 +55,20 @@ def test_read_wav_truncated_data(tmp_path):
         audio.read_wav(path)
 
 
+@pytest.mark.parametrize("tag, bits, n_bytes", [(1, 16, 3), (3, 32, 5)])
+def test_read_wav_partial_sample(tmp_path, tag, bits, n_bytes):
+    import struct
+    data = b"\x01" * n_bytes
+    width = bits // 8
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data),
+                         b"WAVE", b"fmt ", 16, tag, 1, 8000, 8000 * width,
+                         width, bits, b"data", len(data))
+    path = tmp_path / "partial.wav"
+    path.write_bytes(header + data + b"\x00")  # pad byte of an odd chunk
+    with pytest.raises(FormatError):
+        audio.read_wav(path)
+
+
 def test_read_wav_unsupported_encoding(tmp_path):
     import struct
     data = b"\x00" * 8

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deviceprint import audio, mfcc, model
-from deviceprint.errors import ConfigError, DataError
+from deviceprint.errors import ConfigError, DataError, ShapeError
 from deviceprint.gmm import SgmmTensor
 from deviceprint.nn import BiLstm
 
@@ -297,3 +297,33 @@ def test_checkpoint_restores_model():
     xs, _ = model.stack_features(data)
     assert np.array_equal(net.forward(xs, train=False),
                           twin.forward(xs, train=False))
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("bn1.running_mean", None, ConfigError),
+    ("fc.b", None, ConfigError),
+    ("bn2.running_var", np.ones(3), ShapeError),
+])
+def test_load_state_checks_before_mutating(name, value, error):
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 4), n_classes=2)
+    source = model.build_model(arch, seed=1).state_arrays()
+    if value is None:
+        del source[name]
+    else:
+        source[name] = value
+    net = model.build_model(arch, seed=2)
+    before = {k: v.copy() for k, v in net.state_arrays().items()}
+    with pytest.raises(error):
+        net.load_state(source)
+    after = net.state_arrays()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+@pytest.mark.parametrize("g, trace", [
+    (8, [(6, 4), (3, 2), (1, 1)]),
+    (64, [(6, 32), (3, 16), (1, 8)]),
+])
+def test_spatial_trace_three_pools(g, trace):
+    arch = model.ArchitectureConfig(input_dims=(12, g, 5), n_classes=5)
+    assert arch.spatial_trace() == trace
+    assert arch.flatten_size() == 32 * trace[-1][0] * trace[-1][1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,8 +82,27 @@ def test_conv3d_backward_single_path():
     assert np.allclose(gk[0, 0], x[0, 0, 1:3, 1:3, 1:3])
 
 
+def test_conv3d_forward_memory_stays_per_sample():
+    # the eval shape at G=64: a whole-batch patch matrix would need
+    # 50 * 72 * 3840 doubles (110 MB) on top of input and output
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((50, 8, 5, 12, 64))
+    kernel = rng.standard_normal((16, 8, 1, 3, 3))
+    padded_bytes = 50 * 8 * 5 * 14 * 66 * 8
+    out_bytes = 50 * 16 * 5 * 12 * 64 * 8
+    tracemalloc.start()
+    try:
+        out = nn.conv3d_forward(x, kernel, np.zeros(16), padding=(0, 1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (50, 16, 5, 12, 64)
+    assert peak < 2 * (padded_bytes + out_bytes)
+
+
 def test_conv3d_finite_difference():
     assert gradcheck.check_conv3d(seed=0) < 1e-6
+    assert gradcheck.check_conv3d_strided(seed=0) < 1e-6
     assert gradcheck.check_pointwise_conv(seed=0) < 1e-6
 
 
@@ -153,6 +174,17 @@ def test_maxpool_tie_routes_first_index():
     gx = nn.maxpool3d_backward(grad, x, (1, 2, 2))
     assert gx[0, 0, 0, 0, 0] == 1.0
     assert gx.sum() == 1.0
+
+
+def test_pools_drop_remainder_and_need_stride_equal_window():
+    x = np.arange(15.0).reshape(1, 1, 1, 3, 5)
+    assert np.array_equal(nn.maxpool3d(x, (1, 2, 2)).ravel(), [6.0, 8.0])
+    gx = nn.maxpool3d_backward(np.ones((1, 1, 1, 1, 2)), x, (1, 2, 2))
+    assert gx.sum() == 2.0 and not gx[..., 2, :].any() and not gx[..., 4].any()
+    with pytest.raises(ShapeError):
+        nn.avgpool3d(x, (1, 2, 2), stride=(1, 1, 1))
+    with pytest.raises(ShapeError):
+        nn.MaxPool3d((1, 2, 2), stride=1)
 
 
 def test_pool_finite_differences():

@@ -7,6 +7,7 @@ exercised end to end on labeled multi-device corpora without real recordings.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -160,8 +161,9 @@ def read_wav(path):
         raise UnsupportedFormatError(
             f"{path}: WAV format tag {audio_format:#x} not supported")
 
-    if x.size == 0:
-        raise FormatError(f"{path}: empty data chunk")
+    if x.size < n_channels:
+        raise FormatError(f"{path}: data chunk holds {x.size} samples, "
+                          f"less than one frame of {n_channels} channels")
     if n_channels > 1:
         x = x[: (x.size // n_channels) * n_channels]
         x = x.reshape(-1, n_channels).mean(axis=1)
@@ -199,6 +201,12 @@ def synth_source(duration_s, sample_rate, seed):
     analysis frames fall inside them (the gaps are what later expose a
     device's noise floor), with a slow amplitude modulation on top.
     Harmonic content stays below ~4 kHz. Peak <= 1.
+
+    The harmonic stack is summed on one complex phasor ``e^{i*phase}`` by
+    Horner's rule (see ``_harmonic_sum``), so a clip costs one cos/sin
+    pair rather than one sine per harmonic. The random draws are taken
+    harmonic by harmonic (amplitude, then phase offset) before the phrase
+    gating draws; that order fixes which clip a seed yields, so keep it.
     """
     if duration_s <= 0:
         raise ConfigError("duration_s must be > 0")
@@ -216,10 +224,12 @@ def synth_source(duration_s, sample_rate, seed):
 
     n_harm = max(1, min(24, int(3800.0 / f0)))
     rolloff = rng.uniform(0.7, 1.5)
-    wave = np.zeros(n)
+    amps = np.empty(n_harm)
+    offsets = np.empty(n_harm)
     for k in range(1, n_harm + 1):
-        amp = rng.uniform(0.7, 1.3) / k ** rolloff
-        wave += amp * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+        amps[k - 1] = rng.uniform(0.7, 1.3) / k ** rolloff
+        offsets[k - 1] = rng.uniform(0, 2 * np.pi)
+    wave = _harmonic_sum(phase, amps, offsets)
 
     # phrase gating: voiced bursts with raised-cosine ramps, silent gaps
     gate = np.zeros(n)
@@ -245,6 +255,25 @@ def synth_source(duration_s, sample_rate, seed):
     if peak > 1e-12:
         x *= 0.7 / peak
     return AudioClip(x, sample_rate)
+
+
+def _harmonic_sum(phase, amps, offsets):
+    """Return ``sum_k amps[k-1] * sin(k * phase + offsets[k-1])``, k = 1..K.
+
+    The sum is ``Im(sum_k c_k z^k)`` with ``z = e^{i*phase}`` and
+    ``c_k = amp_k e^{i*off_k}``, evaluated by Horner's rule in place on one
+    complex array.
+    """
+    coeffs = amps * np.exp(1j * offsets)
+    z = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=z.real)
+    np.sin(phase, out=z.imag)
+    acc = np.full(phase.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    acc *= z
+    return acc.imag
 
 
 def apply_channel(source, profile, seed):
@@ -396,12 +425,7 @@ def synth_corpus(n_devices, clips_per_device, train_fraction, sample_rate,
 
     tasks = [(plan, profiles[plan[0]].fir, sample_rate, seed, clip_seconds,
               noise_level) for plan in plans]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rendered = list(pool.map(_render_corpus_clip, tasks, chunksize=4))
-    else:
-        rendered = [_render_corpus_clip(t) for t in tasks]
+    rendered = map_jobs(_render_corpus_clip, tasks, jobs)
 
     entries = []
     for plan, payload in zip(plans, rendered):
@@ -414,6 +438,22 @@ def synth_corpus(n_devices, clips_per_device, train_fraction, sample_rate,
     manifest.validate()
     write_manifest(manifest, out_dir / "manifest.tsv")
     return manifest
+
+
+def worker_count(jobs):
+    """Clamp a requested number of parallel workers to [1, os.cpu_count()]."""
+    return max(1, min(int(jobs), os.cpu_count() or 1))
+
+
+def map_jobs(fn, tasks, jobs):
+    """``[fn(t) for t in tasks]``, on a process pool of ``worker_count(jobs)``
+    workers when that is more than one and there is work to share."""
+    workers = worker_count(jobs)
+    if workers > 1 and tasks:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=4))
+    return [fn(t) for t in tasks]
 
 
 def _render_corpus_clip(args):
@@ -439,8 +479,8 @@ def read_manifest(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith(MANIFEST_HEADER_PREFIX):
         raise FormatError(f"{path}: missing manifest header")
-    header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
     try:
+        header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
         sample_rate = int(header["sr"])
         seed = int(header["seed"])
     except (KeyError, ValueError) as exc:

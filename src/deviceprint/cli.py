@@ -15,7 +15,8 @@ def _build_parser():
                         help="master seed; overrides corpus, gmm and train seeds")
     common.add_argument("--workdir", help="stage output directory")
     common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for clip-level stages")
+                        help="parallel workers for clip-level stages "
+                        "(clamped to 1..CPU count)")
 
     parser = argparse.ArgumentParser(
         prog="deviceprint",

@@ -375,10 +375,13 @@ def load_sgmm(path):
     meta_path = path.with_suffix(path.suffix + ".meta")
     seg_frames, relevance, rule = 0, 0.0, NORM_RULE
     if meta_path.exists():
-        fields = dict(tok.split("=", 1)
-                      for tok in meta_path.read_text().split())
-        seg_frames = int(fields.get("t", 0))
-        relevance = float(fields.get("r", 0.0))
+        try:
+            fields = dict(tok.split("=", 1)
+                          for tok in meta_path.read_text().split())
+            seg_frames = int(fields.get("t", 0))
+            relevance = float(fields.get("r", 0.0))
+        except ValueError as exc:
+            raise FormatError(f"{meta_path}: malformed metadata") from exc
         rule = fields.get("norm", NORM_RULE)
     return SgmmTensor(data=data.copy(), n_components=g, seg_frames=seg_frames,
                       relevance=relevance, norm_rule=rule)

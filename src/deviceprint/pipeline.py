@@ -11,7 +11,7 @@ from pathlib import Path
 from . import gmm as gmm_mod
 from . import mfcc as mfcc_mod
 from . import model as model_mod
-from .audio import read_manifest, read_wav, synth_corpus
+from .audio import map_jobs, read_manifest, read_wav, synth_corpus
 from .errors import ConfigError, DependencyError
 
 # section.key -> (type tag, default). Order fixes the canonical rendering.
@@ -298,12 +298,7 @@ def stage_mfcc(cfg, jobs=1, log=print):
             pending.append((entry, wav_path, out, digest))
     tasks = [(wav, manifest.sample_rate, frame_cfg, mel_cfg)
              for _, wav, _, _ in pending]
-    if jobs > 1 and tasks:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            features = list(pool.map(_extract_one_mfcc, tasks, chunksize=4))
-    else:
-        features = [_extract_one_mfcc(t) for t in tasks]
+    features = map_jobs(_extract_one_mfcc, tasks, jobs)
     for (entry, _, out, digest), feat in zip(pending, features):
         mfcc_mod.save_mfcc(out, feat)
         _mark(out, digest)

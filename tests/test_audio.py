@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ def test_read_wav_partial_sample(tmp_path, tag, bits, n_bytes):
         audio.read_wav(path)
 
 
+def test_read_wav_more_channels_than_samples(tmp_path):
+    import struct
+    data = b"\x00" * 8  # 4 PCM16 samples declared as 1000 channels
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data),
+                         b"WAVE", b"fmt ", 16, 1, 1000, 8000, 8000 * 2000,
+                         2000, 16, b"data", len(data))
+    path = tmp_path / "wide.wav"
+    path.write_bytes(header + data)
+    with pytest.raises(FormatError):
+        audio.read_wav(path)
+
+
 def test_read_wav_unsupported_encoding(tmp_path):
     import struct
     data = b"\x00" * 8
@@ -104,6 +118,20 @@ def test_synth_source_band_limited():
     freqs = np.fft.rfftfreq(clip.samples.size, 1 / 16000)
     ratio = spec[freqs < 4000].sum() / spec.sum()
     assert ratio >= 0.97
+
+
+@pytest.mark.parametrize("n_harm", [1, 2, 24])
+def test_harmonic_sum_matches_direct_loop(n_harm):
+    # oracle: one sine per harmonic, at phases as large as a 4 s clip reaches
+    rng = np.random.default_rng(n_harm)
+    phase = np.sort(rng.uniform(0.0, 1.5e5, 4000))
+    amps = rng.uniform(0.7, 1.3, n_harm) / np.arange(1, n_harm + 1)
+    offsets = rng.uniform(0, 2 * np.pi, n_harm)
+    direct = np.zeros_like(phase)
+    for k in range(1, n_harm + 1):
+        direct += amps[k - 1] * np.sin(k * phase + offsets[k - 1])
+    got = audio._harmonic_sum(phase, amps, offsets)
+    assert np.max(np.abs(got - direct)) <= 1e-9
 
 
 def test_apply_channel_identity():
@@ -206,6 +234,22 @@ def test_manifest_header_required(tmp_path):
     path.write_text("a.wav\tdevice00\ttrain\n")
     with pytest.raises(FormatError):
         audio.read_manifest(path)
+
+
+def test_manifest_header_token_without_equals(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("#sgmm-manifest v1 sr=16000 seed=1 junk\n"
+                    "a.wav\tdevice00\ttrain\n")
+    with pytest.raises(FormatError):
+        audio.read_manifest(path)
+
+
+def test_worker_count_clamps_to_cpu_count():
+    n_cpu = os.cpu_count() or 1
+    assert audio.worker_count(0) == 1
+    assert audio.worker_count(-3) == 1
+    assert audio.worker_count(10 ** 6) == n_cpu
+    assert audio.worker_count(1) == 1
 
 
 def test_corpus_rejects_bad_parameters(tmp_path):

@@ -290,6 +290,19 @@ def test_sgmm_serialization_round_trip(tmp_path):
     assert path.with_suffix(".sgmm.meta").exists()
 
 
+@pytest.mark.parametrize("meta", ["t=abc r=4.0", "t r=4.0"])
+def test_sgmm_load_rejects_malformed_meta(tmp_path, meta):
+    rng = np.random.default_rng(18)
+    ubm = gmm.em_fit(rng.standard_normal((4, 100)), 3, seed=0)
+    tensor = gmm.extract_sgmm(ubm, _mfcc(rng.standard_normal((4, 20))),
+                              10, 4.0)
+    path = tmp_path / "t.sgmm"
+    gmm.save_sgmm(path, tensor)
+    path.with_suffix(".sgmm.meta").write_text(meta)
+    with pytest.raises(FormatError):
+        gmm.load_sgmm(path)
+
+
 def test_diag_gmm_invariants():
     with pytest.raises(ShapeError):
         gmm.DiagGmm(np.array([0.6, 0.6]), np.zeros((2, 2)), np.ones((2, 2)))

@@ -39,10 +39,6 @@ class AudioClip:
             raise ConfigError("sample_rate must be a positive integer")
         self.sample_rate = int(self.sample_rate)
 
-    @property
-    def duration(self):
-        return self.samples.size / self.sample_rate
-
 
 @dataclass
 class DeviceProfile:
@@ -331,14 +327,19 @@ def make_device_profile(device_id, sample_rate, seed, noise_level=0.04,
 
     The FIR is the truncated impulse response of 2-4 random peaking-EQ
     band emphases in the speech band plus a small high shelf, normalized
-    so the peak magnitude response is 1.
+    so the peak magnitude response is 1. Needs a sample rate of at least
+    706 Hz, so that 0.85 x Nyquist reaches the 300 Hz floor of the bands.
     """
-    rng = np.random.default_rng(seed)
     nyq = sample_rate / 2.0
+    top = min(6500.0, 0.85 * nyq)
+    if top < 300.0:
+        raise ConfigError(f"sample rate {sample_rate} Hz is too low for the "
+                          f"device EQ bands (at least 706 Hz)")
+    rng = np.random.default_rng(seed)
     h = np.zeros(n_taps)
     h[0] = 1.0
     for _ in range(int(rng.integers(2, 5))):
-        freq = rng.uniform(300.0, min(6500.0, 0.85 * nyq))
+        freq = rng.uniform(300.0, top)
         gain = rng.uniform(6.0, 12.0) * rng.choice([-1.0, 1.0])
         q = rng.uniform(0.8, 3.0)
         h = _biquad(h, *_peaking_coeffs(freq, sample_rate, gain, q))
@@ -407,14 +408,14 @@ def synth_corpus(n_devices, clips_per_device, train_fraction, sample_rate,
         raise ConfigError("need at least 2 devices and 2 clips per device")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("train_fraction must be in (0, 1)")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     n_train = int(round(clips_per_device * train_fraction))
     n_train = min(max(n_train, 1), clips_per_device - 1)
 
     profiles = select_device_profiles(n_devices, sample_rate, seed,
                                       noise_level=noise_level)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     plans = []
     for d in range(n_devices):
         device_id = profiles[d].device_id

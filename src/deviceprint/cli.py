@@ -52,13 +52,11 @@ def _configure(args):
     if args.workdir:
         cfg.set("paths.workdir", args.workdir)
     if args.seed is not None:
-        cfg.set("corpus.seed", args.seed)
-        cfg.set("gmm.seed", args.seed)
-        cfg.set("train.seed", args.seed)
-    if getattr(args, "devices", None) is not None:
-        cfg.set("corpus.devices", args.devices)
-    if getattr(args, "clips", None) is not None:
-        cfg.set("corpus.clips", args.clips)
+        for key in ("corpus.seed", "gmm.seed", "train.seed"):
+            cfg.set(key, args.seed)
+    for name in ("devices", "clips"):  # synth only
+        if getattr(args, name, None) is not None:
+            cfg.set(f"corpus.{name}", getattr(args, name))
     return cfg
 
 
@@ -68,22 +66,13 @@ def main(argv=None):
         if args.command == "gradcheck":
             return 0 if pipeline.stage_gradcheck() else 1
         cfg = _configure(args)
-        if args.command == "synth":
-            pipeline.stage_synth(cfg, jobs=args.jobs)
-        elif args.command == "mfcc":
-            pipeline.stage_mfcc(cfg, jobs=args.jobs)
-        elif args.command == "train-ubm":
-            pipeline.stage_train_ubm(cfg)
-        elif args.command == "sgmm":
-            pipeline.stage_sgmm(cfg, jobs=args.jobs)
-        elif args.command == "train":
-            pipeline.stage_train(cfg)
-        elif args.command == "eval":
-            pipeline.stage_eval(cfg)
-        elif args.command == "ablate":
-            pipeline.stage_ablate(cfg)
+        stage = getattr(pipeline, "stage_" + args.command.replace("-", "_"))
+        if args.command in ("synth", "mfcc", "sgmm"):
+            stage(cfg, jobs=args.jobs)
         elif args.command == "small-sample":
-            pipeline.stage_small_sample(cfg, args.n_train)
+            stage(cfg, args.n_train)
+        else:
+            stage(cfg)
     except PipelineError as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

@@ -85,8 +85,6 @@ class SgmmTensor:
     n_components: int
     seg_frames: int
     relevance: float
-    row_mins: np.ndarray = None
-    row_maxs: np.ndarray = None
     norm_rule: str = NORM_RULE
 
     def __post_init__(self):
@@ -97,10 +95,6 @@ class SgmmTensor:
             raise ShapeError("tensor G axis does not match n_components")
         if np.any(self.data < 0.0) or np.any(self.data > 1.0):
             raise ShapeError("tensor entries must lie in [0, 1]")
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +128,7 @@ def log_likelihood(gmm, frames):
     if frames.ndim != 2 or frames.shape[0] != gmm.n_dims:
         raise ShapeError(
             f"frames must be ({gmm.n_dims}, N), got {frames.shape}")
-    lp = _component_log_probs(gmm, frames.T)
-    top = lp.max(axis=1, keepdims=True)
-    return float(np.sum(top + np.log(
-        np.sum(np.exp(lp - top), axis=1, keepdims=True))))
+    return _posteriors(gmm, frames.T)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +171,8 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0,
     n, m = x.shape
     if n_components < 1:
         raise ConfigError("n_components must be >= 1")
+    if max_iters < 1:
+        raise ConfigError("max_iters must be >= 1")
     if n < n_components:
         raise DataError(f"{n} frames cannot support {n_components} components")
 
@@ -189,17 +182,12 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0,
     floor = np.maximum(variance_floor_factor * global_var, 1e-12)
 
     centers = _kmeanspp_centers(x, n_components, rng)
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2) \
-        if n * n_components * m <= 2_000_000 else None
-    if d2 is None:
-        # chunk the hard assignment for large inputs
-        assign = np.empty(n, dtype=np.intp)
-        step = max(1, 2_000_000 // (n_components * m))
-        for i in range(0, n, step):
-            block = ((x[i:i + step, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            assign[i:i + step] = block.argmin(axis=1)
-    else:
-        assign = d2.argmin(axis=1)
+    # hard assignment in blocks of at most 2M squared differences
+    assign = np.empty(n, dtype=np.intp)
+    step = max(1, 2_000_000 // (n_components * m))
+    for i in range(0, n, step):
+        block = ((x[i:i + step, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign[i:i + step] = block.argmin(axis=1)
 
     weights = np.empty(n_components)
     means = np.empty((n_components, m))
@@ -299,30 +287,20 @@ def minmax_normalize(matrix):
     return np.where(flat, 0.0, (matrix - lo) / np.where(flat, 1.0, span))
 
 
-def extract_sgmm(ubm, mfcc, seg_frames, relevance, include_variances=False):
+def extract_sgmm(ubm, mfcc, seg_frames, relevance):
     """Build the (M, G, T) temporal Gaussian-mean tensor for one clip.
 
     Each segment is MAP-adapted, transposed to (M, G), min-max normalized
     per feature row, and stacked along the third axis in segment order.
-    With include_variances the (normalized) UBM diagonal variances are
-    appended below the mean rows, giving a (2M, G, T) tensor.
     """
     segmented = segment_frames(mfcc, seg_frames)
     n_segments = len(segmented.segments)
-    n_rows = ubm.n_dims * (2 if include_variances else 1)
-    data = np.empty((n_rows, ubm.n_components, n_segments))
-    row_mins = np.empty((n_rows, n_segments))
-    row_maxs = np.empty((n_rows, n_segments))
+    data = np.empty((ubm.n_dims, ubm.n_components, n_segments))
     for idx, segment in enumerate(segmented.segments):
-        block = map_adapt_means(ubm, segment, relevance).T
-        if include_variances:
-            block = np.vstack([block, ubm.variances.T])
-        data[:, :, idx] = minmax_normalize(block)
-        row_mins[:, idx] = block.min(axis=1)
-        row_maxs[:, idx] = block.max(axis=1)
+        data[:, :, idx] = minmax_normalize(
+            map_adapt_means(ubm, segment, relevance).T)
     return SgmmTensor(data=data, n_components=ubm.n_components,
-                      seg_frames=seg_frames, relevance=float(relevance),
-                      row_mins=row_mins, row_maxs=row_maxs)
+                      seg_frames=seg_frames, relevance=float(relevance))
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_edges(cfg):
+    """Band edges plus triangle corners, evenly spaced in Mel."""
+    return np.linspace(hz_to_mel(cfg.f_low), hz_to_mel(cfg.f_high),
+                       cfg.n_filters + 2)
+
+
 def mel_filterbank(cfg, sample_rate, n_fft_bins):
     """Triangular filters with centers uniformly spaced on the Mel scale.
 
@@ -138,8 +144,7 @@ def mel_filterbank(cfg, sample_rate, n_fft_bins):
             f"{n_fft_bins} FFT bins cannot resolve {cfg.n_filters} filters")
     n_fft = 2 * (n_fft_bins - 1)
     bin_mels = hz_to_mel(np.arange(n_fft_bins) * sample_rate / n_fft)
-    edges = np.linspace(hz_to_mel(cfg.f_low), hz_to_mel(cfg.f_high),
-                        cfg.n_filters + 2)
+    edges = _mel_edges(cfg)
     weights = np.zeros((cfg.n_filters, n_fft_bins))
     for j in range(cfg.n_filters):
         lo, center, hi = edges[j], edges[j + 1], edges[j + 2]
@@ -151,9 +156,7 @@ def mel_filterbank(cfg, sample_rate, n_fft_bins):
 
 def filter_centers_hz(cfg):
     """Center frequencies of the filterbank triangles, in Hz."""
-    edges = np.linspace(hz_to_mel(cfg.f_low), hz_to_mel(cfg.f_high),
-                        cfg.n_filters + 2)
-    return mel_to_hz(edges[1:-1])
+    return mel_to_hz(_mel_edges(cfg)[1:-1])
 
 
 def dct_matrix(n_ceps, n_filters, first_row=0):

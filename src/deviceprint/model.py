@@ -1,6 +1,9 @@
-"""Classifier assembly and experiment drivers.
+"""Classifier assembly, the recognition flow and experiment drivers.
 
-The recognition network stacks a pointwise channel-expansion conv, two
+The flow is one function per step: `clip_mfcc` (a clip's checked cepstra),
+`train_ubm`, `extract_sgmm` and `fit_architecture` (tensors to network
+config). `recognize` composes them in memory, and the `pipeline` stages
+call the same ones behind their disk cache. The recognition network stacks a pointwise channel-expansion conv, two
 conv/batch-norm/ReLU/max-pool blocks and an average pool over the spatial
 axes of each time step, flattens per step, and feeds the sequence to a
 bidirectional peephole LSTM with self-attention, mean temporal pooling and
@@ -24,14 +27,6 @@ from .nn import (AdamState, AvgPool3d, BatchNorm3d, BiLstm, Conv3d, Dense,
 # maxpool1, maxpool2 and the average pool: none spans time, each halves the
 # spatial axes
 _POOL_WINDOWS = ((1, 2, 2),) * 3
-
-
-def _pool_out(n, window):
-    out = (n - window) // window + 1
-    if out < 1:
-        raise ConfigError(f"spatial extent {n} collapses under a "
-                          f"{window}-wide pool")
-    return out
 
 
 @dataclass(frozen=True)
@@ -58,11 +53,15 @@ class ArchitectureConfig:
         self.flatten_size()
 
     def spatial_trace(self):
-        """(height, width) after each pooling stage."""
+        """(height, width) after each pooling stage; a pool drops the
+        remainder its window does not fill."""
         h, w, _ = self.input_dims
         trace = []
         for _, wh, ww in _POOL_WINDOWS:
-            h, w = _pool_out(h, wh), _pool_out(w, ww)
+            h, w = h // wh, w // ww
+            if min(h, w) < 1:
+                raise ConfigError(f"input dims {self.input_dims} collapse "
+                                  f"under pool {len(trace) + 1}")
             trace.append((h, w))
         return trace
 
@@ -75,10 +74,10 @@ class ArchitectureConfig:
 class TrainConfig:
     """Optimization schedule: Adam with a stepped learning-rate decay."""
 
-    initial_lr: float = 0.1
-    lr_decay_every: int = 30
+    initial_lr: float = 0.002
+    lr_decay_every: int = 100
     lr_decay_factor: float = 0.1
-    epochs: int = 100
+    epochs: int = 250
     batch_size: int = 16
     seed: int = 0
 
@@ -175,14 +174,10 @@ def build_model(arch, seed=0):
     return C3dBiLstm(arch, seed=seed)
 
 
-def tensor_to_input(tensor):
-    """(M, G, T) feature tensor -> [1, T, M, G] network input block."""
-    return tensor.data.transpose(2, 0, 1)[None, :, :, :]
-
-
 def stack_features(feature_set):
-    """List of (SgmmTensor, label) -> (X [B,1,T,M,G], y [B])."""
-    xs = np.stack([tensor_to_input(t) for t, _ in feature_set])
+    """List of (SgmmTensor, label) -> (X [B,1,T,M,G], y [B]); each (M, G, T)
+    tensor becomes a [1, T, M, G] input block."""
+    xs = np.stack([t.data.transpose(2, 0, 1)[None] for t, _ in feature_set])
     ys = np.array([label for _, label in feature_set], dtype=np.intp)
     return xs, ys
 
@@ -246,7 +241,7 @@ class Metrics:
     def kv_records(self):
         labels = self.label_order or [str(i) for i in range(len(self.per_class))]
         lines = [f"accuracy={self.accuracy!r}", f"mean_loss={self.mean_loss!r}"]
-        lines += [f"per_class.{name}={acc!r}"
+        lines += [f"per_class.{name}={float(acc)!r}"
                   for name, acc in zip(labels, self.per_class)]
         return "\n".join(lines)
 
@@ -356,12 +351,9 @@ def mfcc_mean_features(mfccs):
     return np.stack([m.coeffs.mean(axis=1) for m in mfccs])
 
 
-def flatten_sgmm_features(tensors):
-    return np.stack([t.data.reshape(-1) for t in tensors])
-
-
 # ---------------------------------------------------------------------------
-# Corpus-level experiment drivers
+# Recognition flow: one function per step. `recognize` composes them in
+# memory; the `pipeline` stages call the same ones behind a disk cache.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -397,15 +389,18 @@ class RecognitionResult:
     test_labels: np.ndarray
 
 
-def _load_mfccs(manifest, entries, frame_cfg, mel_cfg):
-    feats = []
-    for entry in entries:
-        clip = read_wav(manifest.resolve(entry))
-        if clip.sample_rate != manifest.sample_rate:
-            raise DataError(f"{entry.path}: sample rate {clip.sample_rate} "
-                            f"does not match manifest {manifest.sample_rate}")
-        feats.append(mfcc_mod.extract_mfcc(clip, frame_cfg, mel_cfg))
-    return feats
+def label_indices(manifest, entries):
+    """Class index of each entry: its device's place in device_ids()."""
+    label_idx = {d: i for i, d in enumerate(manifest.device_ids())}
+    return np.array([label_idx[e.device_id] for e in entries])
+
+
+def clip_mfcc(name, clip, sample_rate, frame_cfg, mel_cfg):
+    """Cepstra of one clip, which must be at the manifest's sample rate."""
+    if clip.sample_rate != sample_rate:
+        raise DataError(f"{name}: sample rate {clip.sample_rate} does not "
+                        f"match manifest {sample_rate}")
+    return mfcc_mod.extract_mfcc(clip, frame_cfg, mel_cfg)
 
 
 def train_ubm(mfccs, gmm_cfg):
@@ -415,52 +410,40 @@ def train_ubm(mfccs, gmm_cfg):
                   tol=gmm_cfg.em_tol, seed=gmm_cfg.seed)
 
 
-def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
-                    channels=(8, 16, 32), kernel_t=1, hidden=64,
-                    attention=True, model_seed=None, train_entries=None,
-                    test_entries=None, ubm_entries=None):
-    """Full in-memory pipeline on a corpus manifest.
+def fit_architecture(feature_set, n_classes, **arch_kwargs):
+    """Network config for the one (M, G, T) shape every tensor shares."""
+    shapes = {t.data.shape for t, _ in feature_set}
+    if len(shapes) != 1:
+        raise DataError(f"clips produced inconsistent tensor shapes: {shapes}")
+    return ArchitectureConfig(input_dims=shapes.pop(), n_classes=n_classes,
+                              **arch_kwargs)
 
-    Features for train and test splits, a UBM fit on training-split frames
-    only (never test data), temporal tensors for every clip, classifier
-    training and inference-mode evaluation on the untouched test split.
-    ubm_entries picks the unlabeled background pool; it defaults to the
-    classifier's train_entries.
+
+def recognize(manifest, mfccs, gmm_cfg, train_cfg, train_entries,
+              test_entries, ubm_entries, **arch_kwargs):
+    """Cepstra to evaluated classifier: UBM, temporal tensors, training.
+
+    mfccs maps every entry's path to its cepstra. The UBM is fit on the
+    ubm_entries only (never test data), the network on train_entries, and
+    evaluation runs in inference mode on the untouched test_entries.
     """
-    if train_entries is None:
-        train_entries = manifest.for_split("train")
-    if test_entries is None:
-        test_entries = manifest.for_split("test")
     if not train_entries or not test_entries:
         raise DataError("manifest needs both train and test entries")
     label_order = manifest.device_ids()
-    label_idx = {d: i for i, d in enumerate(label_order)}
+    train_mfccs = [mfccs[e.path] for e in train_entries]
+    test_mfccs = [mfccs[e.path] for e in test_entries]
+    train_labels = label_indices(manifest, train_entries)
+    test_labels = label_indices(manifest, test_entries)
 
-    train_mfccs = _load_mfccs(manifest, train_entries, frame_cfg, mel_cfg)
-    test_mfccs = _load_mfccs(manifest, test_entries, frame_cfg, mel_cfg)
-    train_labels = np.array([label_idx[e.device_id] for e in train_entries])
-    test_labels = np.array([label_idx[e.device_id] for e in test_entries])
-
-    if ubm_entries is None:
-        ubm_mfccs = train_mfccs
-    else:
-        ubm_mfccs = _load_mfccs(manifest, ubm_entries, frame_cfg, mel_cfg)
-    ubm = train_ubm(ubm_mfccs, gmm_cfg)
+    ubm = train_ubm([mfccs[e.path] for e in ubm_entries], gmm_cfg)
     train_set = [(extract_sgmm(ubm, m, gmm_cfg.seg_frames, gmm_cfg.relevance), y)
                  for m, y in zip(train_mfccs, train_labels)]
     test_set = [(extract_sgmm(ubm, m, gmm_cfg.seg_frames, gmm_cfg.relevance), y)
                 for m, y in zip(test_mfccs, test_labels)]
 
-    shapes = {t.data.shape for t, _ in train_set + test_set}
-    if len(shapes) != 1:
-        raise DataError(f"clips produced inconsistent tensor shapes: {shapes}")
-    m_dim, g_dim, t_dim = shapes.pop()
-    arch = ArchitectureConfig(input_dims=(m_dim, g_dim, t_dim),
-                              n_classes=len(label_order), channels=channels,
-                              kernel_t=kernel_t, hidden=hidden,
-                              attention=attention)
-    model = build_model(arch, seed=train_cfg.seed if model_seed is None
-                        else model_seed)
+    arch = fit_architecture(train_set + test_set, len(label_order),
+                            **arch_kwargs)
+    model = build_model(arch, seed=train_cfg.seed)
     history = train(model, train_set, train_cfg)
     metrics = evaluate(model, test_set, label_order=label_order)
     return RecognitionResult(model=model, metrics=metrics, history=history,
@@ -470,25 +453,48 @@ def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
                              train_labels=train_labels, test_labels=test_labels)
 
 
+def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
+                    train_entries=None, test_entries=None, ubm_entries=None,
+                    **arch_kwargs):
+    """Full in-memory pipeline on a corpus manifest: `recognize` on the
+    cepstra of its WAV clips.
+
+    The entries default to the manifest's train and test splits;
+    ubm_entries picks the unlabeled background pool and defaults to the
+    classifier's train_entries.
+    """
+    if train_entries is None:
+        train_entries = manifest.for_split("train")
+    if test_entries is None:
+        test_entries = manifest.for_split("test")
+    if ubm_entries is None:
+        ubm_entries = train_entries
+    needed = {e.path: e for e in train_entries + test_entries + ubm_entries}
+    mfccs = {path: clip_mfcc(path, read_wav(manifest.resolve(e)),
+                             manifest.sample_rate, frame_cfg, mel_cfg)
+             for path, e in needed.items()}
+    return recognize(manifest, mfccs, gmm_cfg, train_cfg, train_entries,
+                     test_entries, ubm_entries, **arch_kwargs)
+
+
 def ablate_frontend(frame_cfgs, mel_cfgs, manifest, seed=0):
     """Grid over frame geometry and band limits, scored with the linear
     baseline on per-clip MFCC means. Returns one row dict per cell."""
     train_entries = manifest.for_split("train")
     test_entries = manifest.for_split("test")
-    label_idx = {d: i for i, d in enumerate(manifest.device_ids())}
     clips = {e.path: read_wav(manifest.resolve(e))
              for e in train_entries + test_entries}
-    y_train = np.array([label_idx[e.device_id] for e in train_entries])
-    y_test = np.array([label_idx[e.device_id] for e in test_entries])
+    y_train = label_indices(manifest, train_entries)
+    y_test = label_indices(manifest, test_entries)
     rows = []
     for frame_cfg in frame_cfgs:
         for mel_cfg in mel_cfgs:
             def feats(entries):
                 return mfcc_mean_features(
-                    [mfcc_mod.extract_mfcc(clips[e.path], frame_cfg, mel_cfg)
-                     for e in entries])
+                    [clip_mfcc(e.path, clips[e.path], manifest.sample_rate,
+                               frame_cfg, mel_cfg) for e in entries])
             clf = baseline_classifier(feats(train_entries), y_train,
-                                      n_classes=len(label_idx))
+                                      n_classes=len(manifest.device_ids()))
             rows.append({
                 "frame_len_ms": frame_cfg.frame_len_ms,
                 "frame_shift_ms": frame_cfg.frame_shift_ms,
@@ -510,14 +516,14 @@ def format_ablation_table(rows):
     return "\n".join(lines)
 
 
-def small_sample_protocol(manifest, n_train_per_class, frame_cfg, mel_cfg,
-                          gmm_cfg, train_cfg, select_seed=0, **arch_kwargs):
-    """Truncate every device's train split to n clips (seeded pick), train,
-    and evaluate on the untouched test split.
+def small_sample_split(manifest, n_train_per_class, select_seed=0):
+    """(train, test, ubm) entries of the small-sample protocol.
 
-    Only the supervised classifier set shrinks. The background mixture is
-    unsupervised infrastructure, so it keeps the full training split as
-    its pool, the way background models are reused across enrollments.
+    Every device's train split is truncated to n clips (seeded pick); the
+    test split is untouched. Only the supervised classifier set shrinks.
+    The background mixture is unsupervised infrastructure, so it keeps the
+    full training split as its pool, the way background models are reused
+    across enrollments.
     """
     rng = np.random.default_rng(select_seed)
     truncated = []
@@ -530,8 +536,13 @@ def small_sample_protocol(manifest, n_train_per_class, frame_cfg, mel_cfg,
         picks = sorted(rng.choice(len(device_train), size=n_train_per_class,
                                   replace=False))
         truncated.extend(device_train[i] for i in picks)
-    result = run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
-                             train_entries=truncated,
-                             ubm_entries=manifest.for_split("train"),
-                             **arch_kwargs)
-    return result
+    return truncated, manifest.for_split("test"), manifest.for_split("train")
+
+
+def small_sample_protocol(manifest, n_train_per_class, frame_cfg, mel_cfg,
+                          gmm_cfg, train_cfg, select_seed=0, **arch_kwargs):
+    """`run_recognition` on the entries of `small_sample_split`."""
+    return run_recognition(
+        manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
+        *small_sample_split(manifest, n_train_per_class, select_seed),
+        **arch_kwargs)

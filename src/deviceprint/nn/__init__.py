@@ -1,7 +1,7 @@
 """Minimal dense-tensor neural stack with paired forward/backward passes."""
 
 from .adam import AdamState, adam_step
-from .attention import (SelfAttention, self_attention, self_attention_backward,
+from .attention import (SelfAttention, self_attention_backward,
                         self_attention_forward)
 from .conv import (AvgPool3d, Conv3d, MaxPool3d, avgpool3d, avgpool3d_backward,
                    conv3d_backward, conv3d_forward, maxpool3d,
@@ -10,17 +10,16 @@ from .layers import (BatchNorm3d, Dense, FlattenPerStep, MeanOverTime, ReLU,
                      softmax_cross_entropy)
 from .params import (Parameter, ParamStore, load_checkpoint, save_checkpoint,
                      uniform_fanin)
-from .recurrent import BiLstm, LstmParams, bilstm_forward, lstm_step
+from .recurrent import BiLstm, LstmParams, lstm_step
 
 __all__ = [
     "AdamState", "adam_step",
-    "SelfAttention", "self_attention", "self_attention_forward",
-    "self_attention_backward",
+    "SelfAttention", "self_attention_forward", "self_attention_backward",
     "AvgPool3d", "Conv3d", "MaxPool3d", "avgpool3d", "avgpool3d_backward",
     "conv3d_backward", "conv3d_forward", "maxpool3d", "maxpool3d_backward",
     "BatchNorm3d", "Dense", "FlattenPerStep", "MeanOverTime", "ReLU",
     "softmax_cross_entropy",
     "Parameter", "ParamStore", "load_checkpoint", "save_checkpoint",
     "uniform_fanin",
-    "BiLstm", "LstmParams", "bilstm_forward", "lstm_step",
+    "BiLstm", "LstmParams", "lstm_step",
 ]

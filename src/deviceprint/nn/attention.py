@@ -17,13 +17,8 @@ def _attention_weights(x):
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
-def self_attention(x):
-    """Forward pass only; x is [B, T, D]."""
-    out, _ = self_attention_forward(x)
-    return out
-
-
 def self_attention_forward(x):
+    """x is [B, T, D]; returns the output and the backward cache."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[-1] < 1:
         raise ShapeError("self-attention expects [B, T, D] with D >= 1")

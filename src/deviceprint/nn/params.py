@@ -34,15 +34,6 @@ class ParamStore:
         self._params[name] = p
         return p
 
-    def __getitem__(self, name):
-        return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def items(self):
         return self._params.items()
 

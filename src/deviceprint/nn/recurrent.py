@@ -124,17 +124,6 @@ def _run_direction_backward(grad_h, caches, p):
     return grad_seq
 
 
-def bilstm_forward(seq, fwd_params, bwd_params):
-    """Run both directions over [B, T, D]; concatenate per-step outputs
-    with the forward half first."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 3 or seq.shape[1] < 1:
-        raise ShapeError("sequence must be [B, T, D] with T >= 1")
-    out_f, _ = _run_direction(seq, fwd_params)
-    out_b, _ = _run_direction(np.ascontiguousarray(seq[:, ::-1]), bwd_params)
-    return np.concatenate([out_f, out_b[:, ::-1]], axis=2)
-
-
 class BiLstm:
     def __init__(self, store, name, d_in, hidden, rng=None):
         self.fwd = LstmParams(store, f"{name}.fwd", d_in, hidden, rng)
@@ -143,7 +132,11 @@ class BiLstm:
         self._caches = None
 
     def forward(self, seq, train=False):
+        """Both directions over [B, T, D]; per-step outputs concatenated
+        with the forward half first."""
         seq = np.asarray(seq, dtype=np.float64)
+        if seq.ndim != 3 or seq.shape[1] < 1:
+            raise ShapeError("sequence must be [B, T, D] with T >= 1")
         out_f, caches_f = _run_direction(seq, self.fwd)
         out_b, caches_b = _run_direction(
             np.ascontiguousarray(seq[:, ::-1]), self.bwd)

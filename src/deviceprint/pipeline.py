@@ -1,11 +1,19 @@
 """Disk-staged pipeline: declarative config, content-hash gated stages.
 
-Every stage names its outputs deterministically, records a sidecar hash of
-its inputs, and skips work when the hash matches, so reruns are no-ops and
-two runs from one seed produce byte-identical artifacts.
+Each stage is a thin cache around the per-step functions of `model`, the
+ones `model.recognize` composes in memory. It names its outputs
+deterministically, records a sidecar hash of its inputs, and skips work
+when the hash matches, so reruns are no-ops and two runs from one seed
+produce byte-identical artifacts. File I/O stays in this module.
+
+Every library default lives in the dataclass that uses it; the schema
+entries that feed one read their default from it.
 """
 
+import dataclasses
 import hashlib
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from . import gmm as gmm_mod
@@ -13,8 +21,19 @@ from . import mfcc as mfcc_mod
 from . import model as model_mod
 from .audio import map_jobs, read_manifest, read_wav, synth_corpus
 from .errors import ConfigError, DependencyError
+from .mfcc import FrameConfig, MelConfig
+from .model import ArchitectureConfig, GmmConfig, TrainConfig
+from .nn import load_checkpoint, save_checkpoint
 
-# section.key -> (type tag, default). Order fixes the canonical rendering.
+
+def _feeds(kind, cls, name):
+    """Schema entry of a key that feeds field `name` of dataclass `cls`."""
+    default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    return kind, default, cls, name
+
+
+# section.key -> (type tag, default[, dataclass, field it feeds]). Order
+# fixes the canonical rendering.
 CONFIG_SCHEMA = {
     "corpus.devices": ("int", 5),
     "corpus.clips": ("int", 40),
@@ -23,29 +42,29 @@ CONFIG_SCHEMA = {
     "corpus.clip_seconds": ("float", 4.0),
     "corpus.noise_level": ("float", 0.04),
     "corpus.seed": ("int", 0),
-    "dsp.frame_len_ms": ("float", 256.0),
-    "dsp.frame_shift_ms": ("float", 64.0),
-    "dsp.f_low": ("float", 0.0),
-    "dsp.f_high": ("float", 8000.0),
-    "dsp.n_filters": ("int", 26),
-    "dsp.n_ceps": ("int", 12),
-    "dsp.include_c0": ("bool", True),
-    "gmm.components": ("int", 64),
-    "gmm.seg_frames": ("int", 10),
-    "gmm.relevance": ("float", 4.0),
-    "gmm.em_iters": ("int", 50),
-    "gmm.em_tol": ("float", 1e-3),
-    "gmm.seed": ("int", 0),
-    "arch.channels": ("intlist", (8, 16, 32)),
-    "arch.kernel_t": ("int", 1),
-    "arch.hidden": ("int", 64),
-    "arch.attention": ("bool", True),
-    "train.lr": ("float", 0.002),
-    "train.decay_every": ("int", 100),
-    "train.decay_factor": ("float", 0.1),
-    "train.epochs": ("int", 250),
-    "train.batch": ("int", 16),
-    "train.seed": ("int", 0),
+    "dsp.frame_len_ms": _feeds("float", FrameConfig, "frame_len_ms"),
+    "dsp.frame_shift_ms": _feeds("float", FrameConfig, "frame_shift_ms"),
+    "dsp.f_low": _feeds("float", MelConfig, "f_low"),
+    "dsp.f_high": _feeds("float", MelConfig, "f_high"),
+    "dsp.n_filters": _feeds("int", MelConfig, "n_filters"),
+    "dsp.n_ceps": _feeds("int", MelConfig, "n_ceps"),
+    "dsp.include_c0": _feeds("bool", MelConfig, "include_c0"),
+    "gmm.components": _feeds("int", GmmConfig, "n_components"),
+    "gmm.seg_frames": _feeds("int", GmmConfig, "seg_frames"),
+    "gmm.relevance": _feeds("float", GmmConfig, "relevance"),
+    "gmm.em_iters": _feeds("int", GmmConfig, "em_iters"),
+    "gmm.em_tol": _feeds("float", GmmConfig, "em_tol"),
+    "gmm.seed": _feeds("int", GmmConfig, "seed"),
+    "arch.channels": _feeds("intlist", ArchitectureConfig, "channels"),
+    "arch.kernel_t": _feeds("int", ArchitectureConfig, "kernel_t"),
+    "arch.hidden": _feeds("int", ArchitectureConfig, "hidden"),
+    "arch.attention": _feeds("bool", ArchitectureConfig, "attention"),
+    "train.lr": _feeds("float", TrainConfig, "initial_lr"),
+    "train.decay_every": _feeds("int", TrainConfig, "lr_decay_every"),
+    "train.decay_factor": _feeds("float", TrainConfig, "lr_decay_factor"),
+    "train.epochs": _feeds("int", TrainConfig, "epochs"),
+    "train.batch": _feeds("int", TrainConfig, "batch_size"),
+    "train.seed": _feeds("int", TrainConfig, "seed"),
     "ablate.frame_grid": ("pairlist", ((256.0, 64.0),)),
     "ablate.band_grid": ("pairlist", ((0.0, 8000.0),)),
     "paths.workdir": ("str", "work"),
@@ -91,12 +110,9 @@ class PipelineConfig:
     """Flat `section.key = value` configuration with full defaults."""
 
     def __init__(self, values=None):
-        self.values = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
-        if values:
-            for key, val in values.items():
-                if key not in CONFIG_SCHEMA:
-                    raise ConfigError(f"unknown config key {key!r}")
-                self.values[key] = val
+        self.values = {k: spec[1] for k, spec in CONFIG_SCHEMA.items()}
+        for key, val in (values or {}).items():
+            self.set(key, val)
 
     def __eq__(self, other):
         return isinstance(other, PipelineConfig) and self.values == other.values
@@ -112,8 +128,7 @@ class PipelineConfig:
     def canonical_text(self):
         lines = ["# pipeline configuration"]
         section = None
-        for key in CONFIG_SCHEMA:
-            kind, _ = CONFIG_SCHEMA[key]
+        for key, (kind, *_) in CONFIG_SCHEMA.items():
             sec = key.split(".")[0]
             if sec != section:
                 lines.append("")
@@ -128,38 +143,26 @@ class PipelineConfig:
             for k in keys)
 
     # typed views consumed by the library layer
+    def _fields(self, cls):
+        """The values of every key that feeds dataclass cls, by field."""
+        return {spec[3]: self.values[key]
+                for key, spec in CONFIG_SCHEMA.items()
+                if len(spec) == 4 and spec[2] is cls}
+
     def frame_config(self):
-        return mfcc_mod.FrameConfig(self.get("dsp.frame_len_ms"),
-                                    self.get("dsp.frame_shift_ms"))
+        return FrameConfig(**self._fields(FrameConfig))
 
     def mel_config(self):
-        return mfcc_mod.MelConfig(self.get("dsp.n_filters"),
-                                  self.get("dsp.f_low"),
-                                  self.get("dsp.f_high"),
-                                  self.get("dsp.n_ceps"),
-                                  self.get("dsp.include_c0"))
+        return MelConfig(**self._fields(MelConfig))
 
     def gmm_config(self):
-        return model_mod.GmmConfig(self.get("gmm.components"),
-                                   self.get("gmm.seg_frames"),
-                                   self.get("gmm.relevance"),
-                                   self.get("gmm.em_iters"),
-                                   self.get("gmm.em_tol"),
-                                   self.get("gmm.seed"))
+        return GmmConfig(**self._fields(GmmConfig))
 
     def train_config(self):
-        return model_mod.TrainConfig(self.get("train.lr"),
-                                     self.get("train.decay_every"),
-                                     self.get("train.decay_factor"),
-                                     self.get("train.epochs"),
-                                     self.get("train.batch"),
-                                     self.get("train.seed"))
+        return TrainConfig(**self._fields(TrainConfig))
 
     def arch_kwargs(self):
-        return {"channels": self.get("arch.channels"),
-                "kernel_t": self.get("arch.kernel_t"),
-                "hidden": self.get("arch.hidden"),
-                "attention": self.get("arch.attention")}
+        return self._fields(ArchitectureConfig)
 
     @property
     def workdir(self):
@@ -245,91 +248,95 @@ def stage_synth(cfg, jobs=1, log=print):
                             jobs=jobs)
     _mark(manifest_path, digest)
     log(f"synth: wrote {len(manifest.entries)} clips to {out_dir}")
+    counts = Counter((e.device_id, e.split) for e in manifest.entries)
     for device in manifest.device_ids():
-        n_train = sum(1 for e in manifest.entries
-                      if e.device_id == device and e.split == "train")
-        n_test = sum(1 for e in manifest.entries
-                     if e.device_id == device and e.split == "test")
-        log(f"  {device}: {n_train} train / {n_test} test")
+        log(f"  {device}: {counts[device, 'train']} train / "
+            f"{counts[device, 'test']} test")
     log(f"synth: manifest {manifest_path}")
     return manifest_path
 
 
+def _require(paths, stage):
+    """paths, each of which must exist; `stage` is the one that writes them."""
+    for path in paths:
+        if not path.exists():
+            raise DependencyError(f"missing {path}; run `{stage}` first")
+    return paths
+
+
 def _require_manifest(cfg):
-    manifest_path = cfg.workdir / "corpus" / "manifest.tsv"
-    if not manifest_path.exists():
-        raise DependencyError(f"missing {manifest_path}; run `synth` first")
-    return read_manifest(manifest_path)
+    path = _require([cfg.workdir / "corpus" / "manifest.tsv"], "synth")[0]
+    return read_manifest(path)
 
 
-def _mfcc_path(cfg, entry):
-    return cfg.workdir / "mfcc" / (Path(entry.path).stem + ".mfcc")
+def _clip_files(cfg, entries, kind):
+    """Every entry's artifact from the per-clip stage `kind` (mfcc, sgmm)."""
+    return _require([cfg.workdir / kind / (Path(e.path).stem + "." + kind)
+                     for e in entries], kind)
 
 
-def _sgmm_path(cfg, entry):
-    return cfg.workdir / "sgmm" / (Path(entry.path).stem + ".sgmm")
+def _cached_per_clip(cfg, kind, sources, key, job, save, jobs, log):
+    """The cache loop of the per-clip stages.
+
+    A clip's output, named after its source under workdir/kind, is up to
+    date when its sidecar holds the digest of key plus the source bytes.
+    The other sources go through map_jobs(job, ...) and each result is
+    saved and marked, in clip order.
+    """
+    out_dir = cfg.workdir / kind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pending = []
+    for src in sources:
+        out = out_dir / (src.stem + "." + kind)
+        digest = _digest(*key, _file_digest(src))
+        if not _fresh(out, digest):
+            pending.append((src, out, digest))
+    results = map_jobs(job, [src for src, _, _ in pending], jobs)
+    for (_, out, digest), result in zip(pending, results):
+        save(out, result)
+        _mark(out, digest)
+    log(f"{kind}: {len(pending)} extracted, "
+        f"{len(sources) - len(pending)} up to date ({len(sources)} clips)")
 
 
-def _extract_one_mfcc(args):
-    wav_path, sample_rate, frame_cfg, mel_cfg = args
-    clip = read_wav(wav_path)
-    if clip.sample_rate != sample_rate:
-        raise ConfigError(f"{wav_path}: sample rate {clip.sample_rate} does "
-                          f"not match manifest {sample_rate}")
-    return mfcc_mod.extract_mfcc(clip, frame_cfg, mel_cfg)
+# module-level jobs, so they can cross a process pool boundary
+def _mfcc_job(wav_path, sample_rate, frame_cfg, mel_cfg):
+    return model_mod.clip_mfcc(wav_path, read_wav(wav_path), sample_rate,
+                               frame_cfg, mel_cfg)
+
+
+def _sgmm_job(mfcc_path, ubm, gmm_cfg):
+    return gmm_mod.extract_sgmm(ubm, mfcc_mod.load_mfcc(mfcc_path),
+                                gmm_cfg.seg_frames, gmm_cfg.relevance)
 
 
 def stage_mfcc(cfg, jobs=1, log=print):
     manifest = _require_manifest(cfg)
-    (cfg.workdir / "mfcc").mkdir(parents=True, exist_ok=True)
-    frame_cfg, mel_cfg = cfg.frame_config(), cfg.mel_config()
-    section = cfg.section_text("dsp")
-    pending = []
-    done = 0
-    for entry in manifest.entries:
-        wav_path = manifest.resolve(entry)
-        if not wav_path.exists():
-            raise DependencyError(f"missing clip {wav_path}; run `synth` first")
-        out = _mfcc_path(cfg, entry)
-        digest = _digest(section, _file_digest(wav_path))
-        if _fresh(out, digest):
-            done += 1
-        else:
-            pending.append((entry, wav_path, out, digest))
-    tasks = [(wav, manifest.sample_rate, frame_cfg, mel_cfg)
-             for _, wav, _, _ in pending]
-    features = map_jobs(_extract_one_mfcc, tasks, jobs)
-    for (entry, _, out, digest), feat in zip(pending, features):
-        mfcc_mod.save_mfcc(out, feat)
-        _mark(out, digest)
-    log(f"mfcc: {len(pending)} extracted, {done} up to date "
-        f"({len(manifest.entries)} clips)")
+    wavs = _require([manifest.resolve(e) for e in manifest.entries], "synth")
+    job = partial(_mfcc_job, sample_rate=manifest.sample_rate,
+                  frame_cfg=cfg.frame_config(), mel_cfg=cfg.mel_config())
+    _cached_per_clip(cfg, "mfcc", wavs, (cfg.section_text("dsp"),), job,
+                     mfcc_mod.save_mfcc, jobs, log)
     return manifest
 
 
-def _load_stage_mfcc(cfg, manifest, entries):
-    feats = []
-    for entry in entries:
-        path = _mfcc_path(cfg, entry)
-        if not path.exists():
-            raise DependencyError(f"missing {path}; run `mfcc` first")
-        feats.append(mfcc_mod.load_mfcc(path, cfg.frame_config(),
-                                        cfg.mel_config()))
-    return feats
+def _load_stage_mfcc(cfg, entries):
+    return [mfcc_mod.load_mfcc(path, cfg.frame_config(), cfg.mel_config())
+            for path in _clip_files(cfg, entries, "mfcc")]
 
 
 def stage_train_ubm(cfg, log=print):
     manifest = _require_manifest(cfg)
     train_entries = manifest.for_split("train")
     digest = _digest(cfg.section_text("gmm"),
-                     *[_file_digest(_mfcc_path(cfg, e)) for e in train_entries
-                       if _mfcc_path(cfg, e).exists()],
+                     *[_file_digest(path) for path in
+                       _clip_files(cfg, train_entries, "mfcc")],
                      len(train_entries))
     out = cfg.workdir / "ubm" / "ubm.dgmm"
     if _fresh(out, digest):
         log(f"train-ubm: up to date ({out})")
         return out
-    feats = _load_stage_mfcc(cfg, manifest, train_entries)
+    feats = _load_stage_mfcc(cfg, train_entries)
     gmm_cfg = cfg.gmm_config()
     ubm = model_mod.train_ubm(feats, gmm_cfg)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -347,56 +354,32 @@ def stage_train_ubm(cfg, log=print):
 
 def stage_sgmm(cfg, jobs=1, log=print):
     manifest = _require_manifest(cfg)
-    ubm_path = cfg.workdir / "ubm" / "ubm.dgmm"
-    if not ubm_path.exists():
-        raise DependencyError(f"missing {ubm_path}; run `train-ubm` first")
-    ubm = gmm_mod.load_gmm(ubm_path)
-    ubm_digest = _file_digest(ubm_path)
-    (cfg.workdir / "sgmm").mkdir(parents=True, exist_ok=True)
-    section = cfg.section_text("gmm")
-    done = 0
-    extracted = 0
-    for entry in manifest.entries:
-        src = _mfcc_path(cfg, entry)
-        if not src.exists():
-            raise DependencyError(f"missing {src}; run `mfcc` first")
-        out = _sgmm_path(cfg, entry)
-        digest = _digest(section, ubm_digest, _file_digest(src))
-        if _fresh(out, digest):
-            done += 1
-            continue
-        feat = mfcc_mod.load_mfcc(src, cfg.frame_config(), cfg.mel_config())
-        tensor = gmm_mod.extract_sgmm(ubm, feat, cfg.get("gmm.seg_frames"),
-                                      cfg.get("gmm.relevance"))
-        gmm_mod.save_sgmm(out, tensor)
-        _mark(out, digest)
-        extracted += 1
-    log(f"sgmm: {extracted} extracted, {done} up to date")
+    ubm_path = _require([cfg.workdir / "ubm" / "ubm.dgmm"], "train-ubm")[0]
+    job = partial(_sgmm_job, ubm=gmm_mod.load_gmm(ubm_path),
+                  gmm_cfg=cfg.gmm_config())
+    _cached_per_clip(cfg, "sgmm", _clip_files(cfg, manifest.entries, "mfcc"),
+                     (cfg.section_text("gmm"), _file_digest(ubm_path)), job,
+                     gmm_mod.save_sgmm, jobs, log)
     return manifest
 
 
 def _feature_sets(cfg, manifest):
-    label_order = manifest.device_ids()
-    label_idx = {d: i for i, d in enumerate(label_order)}
+    """(tensor, label) pairs of each split, from the sgmm stage."""
     sets = {}
     for split in ("train", "test"):
-        items = []
-        for entry in manifest.for_split(split):
-            path = _sgmm_path(cfg, entry)
-            if not path.exists():
-                raise DependencyError(f"missing {path}; run `sgmm` first")
-            items.append((gmm_mod.load_sgmm(path), label_idx[entry.device_id]))
-        sets[split] = items
-    return sets, label_order
+        entries = manifest.for_split(split)
+        tensors = [gmm_mod.load_sgmm(path)
+                   for path in _clip_files(cfg, entries, "sgmm")]
+        sets[split] = list(zip(tensors,
+                               model_mod.label_indices(manifest, entries)))
+    return sets
 
 
-def _arch_from_tensors(cfg, feature_set, n_classes):
-    shapes = {t.data.shape for t, _ in feature_set}
-    if len(shapes) != 1:
-        raise ConfigError(f"inconsistent tensor shapes: {shapes}")
-    return model_mod.ArchitectureConfig(input_dims=shapes.pop(),
-                                        n_classes=n_classes,
-                                        **cfg.arch_kwargs())
+def _build_network(cfg, sets, n_classes):
+    """The network `train` fits and `eval` restores, sized to the tensors."""
+    arch = model_mod.fit_architecture(sets["train"] + sets["test"], n_classes,
+                                      **cfg.arch_kwargs())
+    return model_mod.build_model(arch, seed=cfg.get("train.seed"))
 
 
 def _write_metrics(out_dir, metrics, log):
@@ -409,28 +392,26 @@ def _write_metrics(out_dir, metrics, log):
 
 def stage_train(cfg, log=print):
     manifest = _require_manifest(cfg)
-    sets, label_order = _feature_sets(cfg, manifest)
+    train_files = _clip_files(cfg, manifest.for_split("train"), "sgmm")
     digest = _digest(cfg.section_text("arch"), cfg.section_text("train"),
-                     *[_file_digest(_sgmm_path(cfg, e))
-                       for e in manifest.for_split("train")])
+                     *[_file_digest(path) for path in train_files])
     out = cfg.workdir / "model" / "model.ckpt"
     if _fresh(out, digest):
         log(f"train: up to date ({out})")
         return out
-    arch = _arch_from_tensors(cfg, sets["train"] + sets["test"],
-                              len(label_order))
-    net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
+    sets = _feature_sets(cfg, manifest)
+    label_order = manifest.device_ids()
+    net = _build_network(cfg, sets, len(label_order))
     history = model_mod.train(net, sets["train"], cfg.train_config())
     out.parent.mkdir(parents=True, exist_ok=True)
-    from .nn import save_checkpoint
     save_checkpoint(out, net.state_arrays())
     lines = ["epoch,lr,loss,train_acc"]
     lines += [f"{h['epoch']},{h['lr']},{h['loss']},{h['train_acc']}"
               for h in history]
     (out.parent / "history.csv").write_text("\n".join(lines) + "\n")
-    arch_lines = [f"input_dims = {arch.input_dims[0]}/{arch.input_dims[1]}/"
-                  f"{arch.input_dims[2]}",
-                  f"n_classes = {arch.n_classes}",
+    m, g, t = net.arch.input_dims
+    arch_lines = [f"input_dims = {m}/{g}/{t}",
+                  f"n_classes = {net.arch.n_classes}",
                   f"labels = {','.join(label_order)}"]
     (out.parent / "arch.txt").write_text("\n".join(arch_lines) + "\n")
     _mark(out, digest)
@@ -442,14 +423,10 @@ def stage_train(cfg, log=print):
 
 def stage_eval(cfg, log=print):
     manifest = _require_manifest(cfg)
-    sets, label_order = _feature_sets(cfg, manifest)
-    ckpt = cfg.workdir / "model" / "model.ckpt"
-    if not ckpt.exists():
-        raise DependencyError(f"missing {ckpt}; run `train` first")
-    arch = _arch_from_tensors(cfg, sets["train"] + sets["test"],
-                              len(label_order))
-    net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
-    from .nn import load_checkpoint
+    sets = _feature_sets(cfg, manifest)
+    ckpt = _require([cfg.workdir / "model" / "model.ckpt"], "train")[0]
+    label_order = manifest.device_ids()
+    net = _build_network(cfg, sets, len(label_order))
     net.load_state(load_checkpoint(ckpt))
     metrics = model_mod.evaluate(net, sets["test"], label_order=label_order)
     _write_metrics(cfg.workdir / "eval", metrics, log)
@@ -459,11 +436,8 @@ def stage_eval(cfg, log=print):
 
 def stage_ablate(cfg, log=print):
     manifest = _require_manifest(cfg)
-    frame_cfgs = [mfcc_mod.FrameConfig(fl, fs)
-                  for fl, fs in cfg.get("ablate.frame_grid")]
-    mel_cfgs = [mfcc_mod.MelConfig(cfg.get("dsp.n_filters"), lo, hi,
-                                   cfg.get("dsp.n_ceps"),
-                                   cfg.get("dsp.include_c0"))
+    frame_cfgs = [FrameConfig(fl, fs) for fl, fs in cfg.get("ablate.frame_grid")]
+    mel_cfgs = [dataclasses.replace(cfg.mel_config(), f_low=lo, f_high=hi)
                 for lo, hi in cfg.get("ablate.band_grid")]
     rows = model_mod.ablate_frontend(frame_cfgs, mel_cfgs, manifest)
     out_dir = cfg.workdir / "ablate"
@@ -478,10 +452,12 @@ def stage_ablate(cfg, log=print):
 
 def stage_small_sample(cfg, n_train, log=print):
     manifest = _require_manifest(cfg)
-    result = model_mod.small_sample_protocol(
-        manifest, n_train, cfg.frame_config(), cfg.mel_config(),
-        cfg.gmm_config(), cfg.train_config(),
-        select_seed=cfg.get("train.seed"), **cfg.arch_kwargs())
+    mfccs = dict(zip((e.path for e in manifest.entries),
+                     _load_stage_mfcc(cfg, manifest.entries)))
+    result = model_mod.recognize(
+        manifest, mfccs, cfg.gmm_config(), cfg.train_config(),
+        *model_mod.small_sample_split(manifest, n_train, cfg.get("train.seed")),
+        **cfg.arch_kwargs())
     _write_metrics(cfg.workdir / "small_sample", result.metrics, log)
     log(f"small-sample: n={n_train}/class, accuracy "
         f"{result.metrics.accuracy:.4f}")

@@ -257,3 +257,12 @@ def test_corpus_rejects_bad_parameters(tmp_path):
         audio.synth_corpus(1, 2, 0.5, 8000, 0, tmp_path)
     with pytest.raises(ConfigError):
         audio.synth_corpus(2, 2, 1.5, 8000, 0, tmp_path)
+
+
+@pytest.mark.parametrize("rate", [0, 700])
+def test_corpus_rejects_sample_rate_below_eq_band(tmp_path, rate):
+    # the device EQ peaks start at 300 Hz, above 0.85 x Nyquist below 706 Hz
+    out = tmp_path / "corpus"
+    with pytest.raises(ConfigError):
+        audio.synth_corpus(2, 2, 0.5, rate, 0, out, clip_seconds=0.5)
+    assert not out.exists()

@@ -1,9 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from deviceprint import pipeline
+from deviceprint import audio, gmm, mfcc, model, pipeline
 from deviceprint.cli import main
-from deviceprint.errors import ConfigError
+from deviceprint.errors import ConfigError, DataError
 
 TINY = """
 corpus.devices = 3
@@ -131,7 +133,7 @@ def test_ubm_single_component_quick(tiny_cfg, capsys):
     assert "G=1" in out
 
 
-def test_full_chain_and_eval_consistency(tiny_cfg, capsys):
+def test_full_chain_and_eval_consistency(tiny_cfg, capsys, monkeypatch):
     for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
                   pipeline.stage_train_ubm, pipeline.stage_sgmm,
                   pipeline.stage_train):
@@ -144,7 +146,11 @@ def test_full_chain_and_eval_consistency(tiny_cfg, capsys):
     total = sum(int(v) for row in csv_rows.strip().splitlines()
                 for v in row.split(","))
     assert total == 6  # test clips
-    # training is hash-gated: a rerun is a no-op
+    # training is hash-gated: a rerun is a no-op that loads no tensor
+    def no_load(path):
+        raise AssertionError(f"up-to-date train stage loaded {path}")
+
+    monkeypatch.setattr(gmm, "load_sgmm", no_load)
     pipeline.stage_train(tiny_cfg)
     assert "up to date" in capsys.readouterr().out
 
@@ -190,3 +196,85 @@ def test_small_sample_stage(tiny_cfg, capsys):
     metrics = pipeline.stage_small_sample(tiny_cfg, 3, log=lambda *a: None)
     assert 0.0 <= metrics.accuracy <= 1.0
     assert (tiny_cfg.workdir / "small_sample" / "metrics.kv").exists()
+
+
+def test_config_views_match_dataclass_defaults():
+    cfg = pipeline.PipelineConfig()
+    assert cfg.frame_config() == mfcc.FrameConfig()
+    assert cfg.mel_config() == mfcc.MelConfig()
+    assert cfg.gmm_config() == model.GmmConfig()
+    assert cfg.train_config() == model.TrainConfig()
+    assert (model.ArchitectureConfig((12, 8, 5), 5, **cfg.arch_kwargs())
+            == model.ArchitectureConfig((12, 8, 5), 5))
+    # the shipped protocol, which every stage digest covers
+    assert len(pipeline.CONFIG_SCHEMA) == 33
+    assert cfg.section_text("train") == (
+        "train.lr = 0.002\ntrain.decay_every = 100\n"
+        "train.decay_factor = 0.1\ntrain.epochs = 250\n"
+        "train.batch = 16\ntrain.seed = 0")
+
+
+def test_sample_rate_mismatch_same_error_on_both_paths(tiny_cfg):
+    pipeline.stage_synth(tiny_cfg, log=lambda *a: None)
+    manifest_path = tiny_cfg.workdir / "corpus" / "manifest.tsv"
+    manifest_path.write_text(
+        manifest_path.read_text().replace("sr=16000", "sr=8000", 1))
+    with pytest.raises(DataError) as staged:
+        pipeline.stage_mfcc(tiny_cfg, log=lambda *a: None)
+    with pytest.raises(DataError) as in_memory:
+        model.run_recognition(audio.read_manifest(manifest_path),
+                              tiny_cfg.frame_config(), tiny_cfg.mel_config(),
+                              tiny_cfg.gmm_config(), tiny_cfg.train_config())
+    assert type(staged.value) is type(in_memory.value)
+    assert "sample rate 16000" in str(staged.value)
+
+
+def test_small_sample_stage_matches_protocol(tiny_cfg, monkeypatch):
+    for stage in (pipeline.stage_synth, pipeline.stage_mfcc):
+        stage(tiny_cfg, log=lambda *a: None)
+
+    def no_read(path):
+        raise AssertionError(f"small-sample stage decoded {path}")
+
+    # the stage reads the cached cepstra, never the clips
+    monkeypatch.setattr(pipeline, "read_wav", no_read)
+    monkeypatch.setattr(model, "read_wav", no_read)
+    staged = pipeline.stage_small_sample(tiny_cfg, 3, log=lambda *a: None)
+    monkeypatch.undo()
+    in_memory = model.small_sample_protocol(
+        audio.read_manifest(tiny_cfg.workdir / "corpus" / "manifest.tsv"), 3,
+        tiny_cfg.frame_config(), tiny_cfg.mel_config(), tiny_cfg.gmm_config(),
+        tiny_cfg.train_config(), select_seed=tiny_cfg.get("train.seed"),
+        **tiny_cfg.arch_kwargs()).metrics
+    assert staged.kv_records() == in_memory.kv_records()
+    assert np.array_equal(staged.confusion, in_memory.confusion)
+
+
+def test_sgmm_jobs_match_sequential(tiny_cfg):
+    for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
+                  pipeline.stage_train_ubm):
+        stage(tiny_cfg, log=lambda *a: None)
+    sgmm_dir = tiny_cfg.workdir / "sgmm"
+
+    def snapshot():
+        return {f.name: f.read_bytes() for f in sorted(sgmm_dir.iterdir())}
+
+    pipeline.stage_sgmm(tiny_cfg, jobs=1, log=lambda *a: None)
+    sequential = snapshot()
+    assert len(sequential) == 18 * 3  # tensor, .meta and .hash per clip
+    shutil.rmtree(sgmm_dir)
+    pipeline.stage_sgmm(tiny_cfg, jobs=2, log=lambda *a: None)
+    assert snapshot() == sequential
+
+
+def test_cli_train_ubm_rejects_zero_em_iters(tmp_path, capsys):
+    cfg = pipeline.parse_config_text(TINY)
+    cfg.set("gmm.em_iters", 0)
+    path = _cfg_file(tmp_path, cfg)
+    work = tmp_path / "w"
+    for command in ("synth", "mfcc"):
+        assert main([command, "--config", path, "--workdir", str(work)]) == 0
+    capsys.readouterr()
+    assert main(["train-ubm", "--config", path, "--workdir", str(work)]) == 1
+    assert "error [train-ubm]" in capsys.readouterr().err
+    assert not (work / "ubm" / "ubm.dgmm.hash").exists()

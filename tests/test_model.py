@@ -186,6 +186,9 @@ def test_metrics_outputs(tmp_path):
     assert "accuracy" in report and "class a" in report
     kv = dict(line.split("=") for line in metrics.kv_records().splitlines())
     assert float(kv["accuracy"]) == metrics.accuracy
+    assert set(kv) == {"accuracy", "mean_loss", "per_class.a", "per_class.b"}
+    values = {key: float(text) for key, text in kv.items()}
+    assert values["per_class.a"] == 1.0 and values["per_class.b"] == 0.5
     rows = metrics.confusion_csv().splitlines()
     assert len(rows) == 2
 
@@ -327,3 +330,13 @@ def test_spatial_trace_three_pools(g, trace):
     arch = model.ArchitectureConfig(input_dims=(12, g, 5), n_classes=5)
     assert arch.spatial_trace() == trace
     assert arch.flatten_size() == 32 * trace[-1][0] * trace[-1][1]
+
+
+def test_fit_architecture_rejects_mixed_shapes():
+    rng = np.random.default_rng(13)
+    tensors = [(_tensor(rng), 0), (_tensor(rng, dims=(12, 8, 5)), 1)]
+    with pytest.raises(DataError):
+        model.fit_architecture(tensors, 2)
+    arch = model.fit_architecture(tensors[:1], 2, hidden=16)
+    assert arch.input_dims == (12, 8, 4) and arch.hidden == 16
+    assert arch.channels == model.ArchitectureConfig((12, 8, 4), 2).channels

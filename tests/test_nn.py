@@ -256,9 +256,10 @@ def test_bilstm_reversal_symmetry():
     store = nn.ParamStore()
     layer = nn.BiLstm(store, "b", 3, 4, rng=rng)
     seq = rng.standard_normal((2, 5, 3))
-    base = nn.bilstm_forward(seq, layer.fwd, layer.bwd)
-    swapped = nn.bilstm_forward(np.ascontiguousarray(seq[:, ::-1]),
-                                layer.bwd, layer.fwd)[:, ::-1]
+    swapped_layer = nn.BiLstm(nn.ParamStore(), "s", 3, 4)
+    swapped_layer.fwd, swapped_layer.bwd = layer.bwd, layer.fwd
+    base = layer.forward(seq)
+    swapped = swapped_layer.forward(seq[:, ::-1])[:, ::-1]
     assert np.allclose(swapped[:, :, :4], base[:, :, 4:])
     assert np.allclose(swapped[:, :, 4:], base[:, :, :4])
 
@@ -285,8 +286,9 @@ def test_run_direction_matches_step():
 def test_attention_single_step_identity():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 1, 5))
-    out = nn.self_attention(x)
+    out, _ = nn.self_attention_forward(x)
     assert np.allclose(out, x)
+    assert np.allclose(nn.SelfAttention().forward(x), x)
 
 
 def test_attention_rows_sum_to_one():

@@ -477,7 +477,10 @@ def write_manifest(manifest, path):
 
 def read_manifest(path):
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not UTF-8 text") from exc
     if not lines or not lines[0].startswith(MANIFEST_HEADER_PREFIX):
         raise FormatError(f"{path}: missing manifest header")
     try:

@@ -319,6 +319,8 @@ def load_gmm(path):
     raw = Path(path).read_bytes()
     if raw[:5] != GMM_MAGIC:
         raise FormatError(f"{path}: bad mixture magic")
+    if len(raw) < 13:
+        raise FormatError(f"{path}: truncated mixture header")
     g, m = struct.unpack_from("<ii", raw, 5)
     expected = 13 + 8 * (g + 2 * g * m)
     if g <= 0 or m <= 0 or len(raw) != expected:
@@ -346,6 +348,8 @@ def load_sgmm(path):
     raw = path.read_bytes()
     if raw[:5] != SGMM_MAGIC:
         raise FormatError(f"{path}: bad feature tensor magic")
+    if len(raw) < 17:
+        raise FormatError(f"{path}: truncated feature tensor header")
     m, g, t = struct.unpack_from("<iii", raw, 5)
     if min(m, g, t) <= 0 or len(raw) != 17 + 8 * m * g * t:
         raise FormatError(f"{path}: inconsistent tensor record size")

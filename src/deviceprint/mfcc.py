@@ -201,6 +201,8 @@ def load_mfcc(path, frame_cfg=None, mel_cfg=None):
     raw = Path(path).read_bytes()
     if raw[:5] != MFCC_MAGIC:
         raise FormatError(f"{path}: bad MFCC magic")
+    if len(raw) < 13:
+        raise FormatError(f"{path}: truncated MFCC header")
     m, n = struct.unpack_from("<ii", raw, 5)
     if m <= 0 or n <= 0 or len(raw) != 13 + 8 * m * n:
         raise FormatError(f"{path}: inconsistent MFCC record size")

@@ -143,10 +143,16 @@ class C3dBiLstm:
         return x
 
     def backward(self, grad_logits):
+        """Accumulate every parameter's gradient from dL/dlogits.
+
+        Nothing reads the gradient with respect to the network input, so
+        the first layer, the pointwise conv, computes its parameter
+        gradients only, and nothing is returned.
+        """
         grad = grad_logits
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        self.pw.backward(grad, input_grad=False)
 
     def state_arrays(self):
         """Trainable parameters plus batch-norm running statistics."""

@@ -93,6 +93,20 @@ def check_batchnorm3d(seed=0):
     return _check_layer(layer, x, [layer.gamma, layer.beta], train=True, rng=rng)
 
 
+def check_batchnorm3d_eval(seed=0):
+    # inference mode normalizes with fixed running statistics
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    layer = BatchNorm3d(store, "bn", 2)
+    layer.gamma.value[:] = rng.uniform(0.5, 1.5, 2)
+    layer.beta.value[:] = rng.uniform(-0.5, 0.5, 2)
+    layer.running_mean = rng.uniform(-0.5, 0.5, 2)
+    layer.running_var = rng.uniform(0.5, 2.0, 2)
+    x = rng.standard_normal((2, 2, 2, 2, 2))
+    return _check_layer(layer, x, [layer.gamma, layer.beta], train=False,
+                        rng=rng)
+
+
 def _tie_free(rng, shape, scale=0.1):
     # distinct values so max-pool argmax cannot flip inside the FD step
     n = int(np.prod(shape))
@@ -181,6 +195,7 @@ ALL_CHECKS = [
     ("conv3d_strided", check_conv3d_strided),
     ("pointwise_conv", check_pointwise_conv),
     ("batchnorm3d_train", check_batchnorm3d),
+    ("batchnorm3d_eval", check_batchnorm3d_eval),
     ("maxpool3d", check_maxpool3d),
     ("avgpool3d", check_avgpool3d),
     ("relu", check_relu),

@@ -7,12 +7,30 @@ from ..errors import DataError, LabelError, ShapeError
 from .params import uniform_fanin
 
 
+def _per_channel(v):
+    return v.reshape(1, -1, 1, 1, 1)
+
+
+def _channel_sum(a):
+    return a.reshape(a.shape[0], a.shape[1], -1).sum(axis=(0, 2))
+
+
+def _channel_dot(a, b):
+    """Per-channel sum of a * b without a full-size product."""
+    shape = a.shape[:2] + (-1,)
+    return np.einsum("bcs,bcs->c", a.reshape(shape), b.reshape(shape))
+
+
 class BatchNorm3d:
     """Per-channel normalization over (batch, time, height, width).
 
     Train mode uses current-batch statistics and updates running estimates
     with the given momentum (fraction of the old value kept); inference
-    mode normalizes with the running estimates.
+    mode normalizes with the running estimates. Either way the output is
+    one per-channel multiply and add of the (centred) input. Train mode
+    keeps the centred input xc = x - mean for backward, which needs only
+    the per-channel sums of g and g * xc; inference mode keeps a reference
+    to its input and allocates nothing beyond its output.
     """
 
     def __init__(self, store, name, channels, eps=1e-5, momentum=0.9):
@@ -27,39 +45,46 @@ class BatchNorm3d:
     def forward(self, x, train=False):
         if x.ndim != 5:
             raise ShapeError("batch norm expects a 5-D tensor")
-        axes = (0, 2, 3, 4)
-        if train:
-            m = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
-            if m < 2:
-                raise DataError("train-mode batch norm needs >= 2 values "
-                                "per channel")
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = (self.momentum * self.running_mean
-                                 + (1 - self.momentum) * mean)
-            self.running_var = (self.momentum * self.running_var
-                                + (1 - self.momentum) * var)
-        else:
-            m = None
-            mean, var = self.running_mean, self.running_var
+        if not train:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            scale = self.gamma.value * inv_std
+            self._cache = (x, self.running_mean, inv_std, None)
+            out = x * _per_channel(scale)
+            out += _per_channel(self.beta.value - self.running_mean * scale)
+            return out
+        m = x.size // x.shape[1]
+        if m < 2:
+            raise DataError("train-mode batch norm needs >= 2 values "
+                            "per channel")
+        mean = _channel_sum(x) / m
+        xc = x - _per_channel(mean)
+        var = _channel_dot(xc, xc) / m
+        self.running_mean = (self.momentum * self.running_mean
+                             + (1 - self.momentum) * mean)
+        self.running_var = (self.momentum * self.running_var
+                            + (1 - self.momentum) * var)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(1, -1, 1, 1, 1)) * inv_std.reshape(1, -1, 1, 1, 1)
-        self._cache = (xhat, inv_std, m, train)
-        return self.gamma.value.reshape(1, -1, 1, 1, 1) * xhat \
-            + self.beta.value.reshape(1, -1, 1, 1, 1)
+        self._cache = (xc, None, inv_std, m)
+        out = xc * _per_channel(self.gamma.value * inv_std)
+        out += _per_channel(self.beta.value)
+        return out
 
     def backward(self, grad_out):
-        xhat, inv_std, m, train = self._cache
-        axes = (0, 2, 3, 4)
-        self.gamma.grad += np.sum(grad_out * xhat, axis=axes)
-        self.beta.grad += np.sum(grad_out, axis=axes)
-        dxhat = grad_out * self.gamma.value.reshape(1, -1, 1, 1, 1)
-        if not train:
-            return dxhat * inv_std.reshape(1, -1, 1, 1, 1)
-        sum_dxhat = dxhat.sum(axis=axes, keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes, keepdims=True)
-        return (inv_std.reshape(1, -1, 1, 1, 1) / m) * (
-            m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        kept, mean, inv_std, m = self._cache
+        xc = kept if m is not None else kept - _per_channel(mean)
+        sum_g = _channel_sum(grad_out)
+        sum_g_xc = _channel_dot(grad_out, xc)
+        self.gamma.grad += inv_std * sum_g_xc
+        self.beta.grad += sum_g
+        scale = self.gamma.value * inv_std
+        grad_x = grad_out * _per_channel(scale)
+        if m is None:
+            return grad_x
+        # the batch statistics' share: gamma * inv_std / m * (xhat * sum g
+        # xhat + sum g), written on xc
+        grad_x -= xc * _per_channel(scale * inv_std ** 2 * sum_g_xc / m)
+        grad_x -= _per_channel(scale * sum_g / m)
+        return grad_x
 
 
 class ReLU:

@@ -191,7 +191,11 @@ def parse_config_text(text):
 def load_config(path=None):
     if path is None:
         return PipelineConfig()
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text") from exc
+    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +216,16 @@ def _sidecar(path):
 
 
 def _fresh(path, digest):
+    """True when path exists and its sidecar holds digest; an unreadable
+    sidecar reads as stale, so the stage rebuilds."""
     path = Path(path)
     side = _sidecar(path)
-    return (path.exists() and side.exists()
-            and side.read_text().strip() == digest)
+    if not (path.exists() and side.exists()):
+        return False
+    try:
+        return side.read_text(encoding="utf-8").strip() == digest
+    except UnicodeDecodeError:
+        return False
 
 
 def _mark(path, digest):

@@ -244,6 +244,14 @@ def test_manifest_header_token_without_equals(tmp_path):
         audio.read_manifest(path)
 
 
+def test_manifest_not_utf8(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(b"#sgmm-manifest v1 sr=16000 seed=1\n"
+                     b"a.wav\tdevice\xff\ttrain\n")
+    with pytest.raises(FormatError):
+        audio.read_manifest(path)
+
+
 def test_worker_count_clamps_to_cpu_count():
     n_cpu = os.cpu_count() or 1
     assert audio.worker_count(0) == 1

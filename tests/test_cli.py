@@ -278,3 +278,27 @@ def test_cli_train_ubm_rejects_zero_em_iters(tmp_path, capsys):
     assert main(["train-ubm", "--config", path, "--workdir", str(work)]) == 1
     assert "error [train-ubm]" in capsys.readouterr().err
     assert not (work / "ubm" / "ubm.dgmm.hash").exists()
+
+
+def test_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"corpus.devices = 3\n# \xff\n")
+    with pytest.raises(ConfigError):
+        pipeline.load_config(path)
+    assert main(["synth", "--config", str(path), "--workdir",
+                 str(tmp_path / "w")]) == 1
+    assert "error [synth]" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_undecodable_hash_sidecar_rebuilds(tiny_cfg, capsys):
+    pipeline.stage_synth(tiny_cfg)
+    manifest = tiny_cfg.workdir / "corpus" / "manifest.tsv"
+    side = manifest.with_suffix(".tsv.hash")
+    digest = side.read_text().strip()
+    side.write_bytes(b"\xff\xfe" + digest.encode())
+    assert not pipeline._fresh(manifest, digest)
+    capsys.readouterr()
+    pipeline.stage_synth(tiny_cfg)
+    assert "wrote 18 clips" in capsys.readouterr().out
+    assert pipeline._fresh(manifest, digest)

@@ -268,6 +268,20 @@ def test_gmm_load_rejects_bad_magic(tmp_path):
         gmm.load_gmm(path)
 
 
+def test_gmm_load_truncated_header(tmp_path):
+    path = tmp_path / "short.dgmm"
+    path.write_bytes(b"DGMM1\x01\x00")
+    with pytest.raises(FormatError):
+        gmm.load_gmm(path)
+
+
+def test_sgmm_load_truncated_header(tmp_path):
+    path = tmp_path / "short.sgmm"
+    path.write_bytes(b"SGMM1\x01\x00")
+    with pytest.raises(FormatError):
+        gmm.load_sgmm(path)
+
+
 def test_sgmm_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     ubm = gmm.em_fit(rng.standard_normal((4, 100)), 3, seed=0)

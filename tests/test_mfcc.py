@@ -202,6 +202,13 @@ def test_mfcc_serialization_round_trip(tmp_path):
         mfcc.load_mfcc(bad)
 
 
+def test_mfcc_load_truncated_header(tmp_path):
+    path = tmp_path / "short.mfcc"
+    path.write_bytes(mfcc.MFCC_MAGIC + b"\x01\x00")
+    with pytest.raises(FormatError):
+        mfcc.load_mfcc(path)
+
+
 def test_mfcc_csv_export(tmp_path):
     rng = np.random.default_rng(6)
     mat = mfcc.MfccMatrix(rng.standard_normal((3, 4)),

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deviceprint import nn
+from deviceprint import model, nn
 from deviceprint.errors import DataError, LabelError, ShapeError
 from deviceprint.nn import gradcheck
 from deviceprint.nn.recurrent import _run_direction
@@ -100,6 +100,74 @@ def test_conv3d_forward_memory_stays_per_sample():
     assert peak < 2 * (padded_bytes + out_bytes)
 
 
+def test_conv3d_layer_inference_keeps_no_patches():
+    # the bound of the functional forward above; a kept [B, K, P] patch
+    # array would be 110 MB and outlive the call
+    rng = np.random.default_rng(5)
+    layer = nn.Conv3d(nn.ParamStore(), "conv", 8, 16, (1, 3, 3),
+                      padding=(0, 1, 1), rng=rng)
+    x = rng.standard_normal((50, 8, 5, 12, 64))
+    padded_bytes = 50 * 8 * 5 * 14 * 66 * 8
+    out_bytes = 50 * 16 * 5 * 12 * 64 * 8
+    tracemalloc.start()
+    try:
+        out = layer.forward(x, train=False)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (50, 16, 5, 12, 64)
+    assert peak < 2 * (padded_bytes + out_bytes)
+    assert current < out_bytes + 2**20
+
+
+@pytest.mark.parametrize("geometry", [
+    # conv1 of the model at G=8, with kernel_t 1 and 3
+    ((16, 8, 5, 12, 8), 16, (1, 3, 3), 1, (0, 1, 1)),
+    ((16, 8, 5, 12, 8), 16, (3, 3, 3), 1, (1, 1, 1)),
+    # check_conv3d_strided
+    ((2, 2, 3, 6, 7), 3, (3, 3, 2), (1, 2, 2), (1, 1, 0)),
+])
+def test_conv3d_layer_gradients_match_functional(geometry):
+    shape, c_out, kernel, stride, padding = geometry
+    rng = np.random.default_rng(8)
+    layer = nn.Conv3d(nn.ParamStore(), "conv", shape[1], c_out, kernel,
+                      stride=stride, padding=padding, rng=rng)
+    x = rng.standard_normal(shape)
+    out = layer.forward(x, train=True)
+    assert np.array_equal(out, nn.conv3d_forward(
+        x, layer.w.value, layer.b.value, stride, padding))
+    grad_out = rng.standard_normal(out.shape)
+    grad_x = layer.backward(grad_out)
+    want_x, want_k, want_b = nn.conv3d_backward(
+        grad_out, x, layer.w.value, stride, padding)
+    assert np.array_equal(grad_x, want_x)
+    assert np.array_equal(layer.w.grad, want_k)
+    assert np.array_equal(layer.b.grad, want_b)
+
+
+def test_pointwise_conv_parameter_gradients_only():
+    rng = np.random.default_rng(9)
+    layer = nn.Conv3d(nn.ParamStore(), "pw", 1, 8, (1, 1, 1), rng=rng)
+    x = rng.standard_normal((16, 1, 5, 12, 8))
+    out = layer.forward(x, train=True)
+    grad_out = rng.standard_normal(out.shape)
+    assert layer.backward(grad_out, input_grad=False) is None
+    _, want_k, want_b = nn.conv3d_backward(grad_out, x, layer.w.value)
+    assert np.array_equal(layer.w.grad, want_k)
+    assert np.array_equal(layer.b.grad, want_b)
+
+
+def test_model_backward_gives_pointwise_conv_parameter_gradients():
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=3)
+    net = model.build_model(arch, seed=2)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((4, 1, 5, 12, 8))
+    net.params.zero_grads()
+    logits = net.forward(x, train=True)
+    assert net.backward(rng.standard_normal(logits.shape)) is None
+    assert np.any(net.pw.w.grad != 0.0)
+
+
 def test_conv3d_finite_difference():
     assert gradcheck.check_conv3d(seed=0) < 1e-6
     assert gradcheck.check_conv3d_strided(seed=0) < 1e-6
@@ -152,6 +220,26 @@ def test_batchnorm_degenerate_batch():
 
 def test_batchnorm_finite_difference():
     assert gradcheck.check_batchnorm3d(seed=0) < 1e-6
+    assert gradcheck.check_batchnorm3d_eval(seed=0) < 1e-6
+
+
+def test_batchnorm_inference_memory():
+    # one output-sized array and nothing else full-size: no normalized copy
+    rng = np.random.default_rng(10)
+    bn = nn.BatchNorm3d(nn.ParamStore(), "bn", 16)
+    bn.running_mean = rng.standard_normal(16)
+    bn.running_var = rng.uniform(0.5, 2.0, 16)
+    x = rng.standard_normal((50, 16, 5, 12, 64))
+    tracemalloc.start()
+    try:
+        out = bn.forward(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    assert np.allclose(out, (x - bn.running_mean.reshape(1, -1, 1, 1, 1))
+                       * inv_std.reshape(1, -1, 1, 1, 1))
+    assert peak < 2 * x.nbytes
 
 
 # --- pooling -----------------------------------------------------------------
@@ -185,6 +273,27 @@ def test_pools_drop_remainder_and_need_stride_equal_window():
         nn.avgpool3d(x, (1, 2, 2), stride=(1, 1, 1))
     with pytest.raises(ShapeError):
         nn.MaxPool3d((1, 2, 2), stride=1)
+
+
+def _max_routing_inputs():
+    rng = np.random.default_rng(11)
+    # post-ReLU: many windows are all zero or hold repeated maxima
+    tied = np.maximum(np.round(rng.standard_normal((4, 3, 2, 6, 8)), 1), 0.0)
+    with_nan = rng.standard_normal((2, 2, 1, 4, 4))
+    with_nan[0, 1, 0, 2, 3] = np.nan
+    with_nan[1, 0, 0, 0, 0] = np.nan
+    return [tied, with_nan]
+
+
+@pytest.mark.parametrize("x", _max_routing_inputs())
+def test_maxpool_layer_backward_matches_functional(x):
+    layer = nn.MaxPool3d((1, 2, 2))
+    out = layer.forward(x, train=True)
+    grad_out = np.random.default_rng(12).standard_normal(out.shape)
+    got = layer.backward(grad_out)
+    want = nn.maxpool3d_backward(grad_out, x, (1, 2, 2))
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(got) <= np.count_nonzero(~np.isnan(out))
 
 
 def test_pool_finite_differences():

@@ -152,7 +152,7 @@ class C3dBiLstm:
         grad = grad_logits
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        self.pw.backward(grad, input_grad=False)
+        self.pw._accumulate_param_grads(grad)
 
     def state_arrays(self):
         """Trainable parameters plus batch-norm running statistics."""

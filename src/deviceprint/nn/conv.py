@@ -5,24 +5,18 @@ Tensors are laid out [batch, channels, time, height, width]. Kernels are
 floor((in + 2 pad - k) / stride) + 1.
 
 Convolution is one GEMM per sample against that sample's patch matrix,
-copied from a strided window view of the padded input. Inference holds one
-sample's patches at a time, which keeps memory near input plus output. A
-training forward copies every sample's patches into one [B, K, P] array
-that the layer keeps, so the kernel gradient runs its per-sample GEMMs
-without building the patches again. The array is reused from step to step
-until an inference forward lets go of it; at G=64 and batch 16 the
-model's two 3x3 convs keep about 53 MB this way. A pointwise kernel (1x1x1
-at stride 1) has the input itself as its patch matrix and runs as one
-batched channel matmul. The input gradient is the same correlation run on
-the stride-dilated output gradient with the flipped, channel-swapped
-kernel.
+copied from a strided window view of the padded input into a buffer that
+holds one sample's patches at a time, which keeps memory near input plus
+output; the kernel gradient builds the patches again the same way. A
+pointwise kernel (1x1x1 at stride 1) has the input itself as its patch
+matrix and runs as one batched channel matmul. The input gradient is the
+same correlation run on the stride-dilated output gradient with the
+flipped, channel-swapped kernel.
 
 Pools are non-overlapping (stride must equal the window) and combine the
 window's offset slabs elementwise. The max-pool layer keeps its output and
 routes the gradient against those maxima instead of pooling again.
 """
-
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,82 +43,57 @@ def _out_extent(n, k, s, p):
 
 
 def _pad5(x, pads):
+    """x zero-padded on its last three axes (x itself when pads are 0);
+    slice assignment into zeros is about twice as fast as np.pad at the
+    model's G=8 shapes."""
     if not any(pads):
         return x
-    return np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
+    xp = np.zeros(x.shape[:2] + tuple(n + 2 * p
+                                      for n, p in zip(x.shape[2:], pads)))
+    xp[(Ellipsis,) + tuple(slice(p, p + n)
+                           for n, p in zip(x.shape[2:], pads))] = x
+    return xp
 
 
 def _pointwise(ksize, stride):
     return tuple(ksize) == (1, 1, 1) and tuple(stride) == (1, 1, 1)
 
 
-def _patch_buffer(xp_shape, ksize, stride, reuse=None):
-    """A [B, K, P] array to keep the patch matrices of a padded input in,
-    or None for a pointwise kernel, whose patches are the input itself.
-    `reuse`, an earlier such array, is returned when its shape fits."""
-    if _pointwise(ksize, stride):
-        return None
-    shape = (xp_shape[0], xp_shape[1] * int(np.prod(ksize)), int(np.prod([
-        (n - k) // s + 1 for n, k, s in zip(xp_shape[2:], ksize, stride)])))
-    if reuse is not None and reuse.shape == shape:
-        return reuse
-    return np.empty(shape)
-
-
-def _patch_matrices(xp, ksize, stride, kept=None):
+def _patch_matrices(xp, ksize, stride):
     """Each sample's [C*kT*kH*kW, oT*oH*oW] patch matrix, in batch order.
 
-    A pointwise kernel has each sample itself as its patch matrix, so the
-    result is a [B, C, P] view of xp. Otherwise each sample's window view
-    is copied with copyto, several times faster than a reshape copy of the
-    view, just before it is yielded: into kept[b] when given a
-    _patch_buffer, else into one buffer that every yielded matrix shares,
-    valid until the next one is yielded.
+    The matrices share one buffer, valid until the next one is yielded;
+    copyto into it is several times faster than a reshape copy of the view.
     """
-    if _pointwise(ksize, stride):
-        return xp.reshape(xp.shape[0], xp.shape[1], -1)
     st, sh, sw = stride
     cols = sliding_window_view(xp, ksize, axis=(2, 3, 4))[
         :, :, ::st, ::sh, ::sw].transpose(0, 1, 5, 6, 7, 2, 3, 4)
-    if kept is None:
-        kept = repeat(np.empty((int(np.prod(cols.shape[1:5])),
-                                int(np.prod(cols.shape[5:])))))
-    return _copies(cols, kept)
+    buf = np.empty(cols.shape[1:])
+    mat = buf.reshape(int(np.prod(cols.shape[1:5])), -1)
+    for sample in cols:
+        np.copyto(buf, sample)
+        yield mat
 
 
-def _copies(cols, dsts):
-    for sample, dst in zip(cols, dsts):
-        np.copyto(dst.reshape(sample.shape), sample)
-        yield dst
-
-
-def _correlate(xp, kernel, stride, kept=None):
-    """Unpadded, bias-free cross-correlation of xp with kernel, keeping the
-    patch matrices in `kept` (a _patch_buffer) when given; a pointwise
-    kernel is one batched channel matmul."""
+def _correlate(xp, kernel, stride):
+    """Unpadded, bias-free cross-correlation of xp with kernel; a pointwise
+    kernel, whose patch matrices are the samples themselves, is one batched
+    channel matmul."""
     ksize = kernel.shape[2:]
     out = np.empty(xp.shape[:1] + kernel.shape[:1] + tuple(
         (n - k) // s + 1 for n, k, s in zip(xp.shape[2:], ksize, stride)))
     kmat = kernel.reshape(kernel.shape[0], -1)
     oflat = out.reshape(len(out), len(kmat), -1)
-    mats = _patch_matrices(xp, ksize, stride, kept)
-    if isinstance(mats, np.ndarray):
-        np.matmul(kmat, mats, out=oflat)
+    if _pointwise(ksize, stride):
+        np.matmul(kmat, xp.reshape(xp.shape[0], xp.shape[1], -1), out=oflat)
     else:
-        for o, mat in zip(oflat, mats):
+        for o, mat in zip(oflat, _patch_matrices(xp, ksize, stride)):
             np.matmul(kmat, mat, out=o)
     return out
 
 
 def conv3d_forward(x, kernel, bias, stride=1, padding=0):
     """Linear 3D cross-correlation plus bias (activation applied elsewhere)."""
-    return _conv3d_forward(x, kernel, bias, stride, padding)[0]
-
-
-def _conv3d_forward(x, kernel, bias, stride, padding, keep=False,
-                    reuse=None):
-    """conv3d_forward and, when keep, the _patch_buffer its patch matrices
-    were kept in (`reuse` when that fits)."""
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -135,20 +104,24 @@ def _conv3d_forward(x, kernel, bias, stride, padding, keep=False,
     stride, padding = _triple(stride), _triple(padding)
     for n, k, s, p in zip(x.shape[2:], kernel.shape[2:], stride, padding):
         _out_extent(n, k, s, p)
-    xp = _pad5(x, padding)
-    kept = (_patch_buffer(xp.shape, kernel.shape[2:], stride, reuse)
-            if keep else None)
-    out = _correlate(xp, kernel, stride, kept)
+    out = _correlate(_pad5(x, padding), kernel, stride)
     out += bias.reshape(1, -1, 1, 1, 1)
-    return out, kept
+    return out
 
 
-def _kernel_grad(gflat, mats, shape):
-    """Sum over samples of grad_out times the patch matrix transposed."""
-    grad_k = np.zeros((shape[0], int(np.prod(shape[1:]))))
-    for g, mat in zip(gflat, mats):
-        grad_k += g @ mat.T
-    return grad_k.reshape(shape)
+def _kernel_grad(grad_out, xp, kernel_shape, stride):
+    """Sum over samples of grad_out times the patch matrix transposed; for
+    a pointwise kernel, one contraction over batch and positions."""
+    gflat = grad_out.reshape(grad_out.shape[0], kernel_shape[0], -1)
+    ksize = kernel_shape[2:]
+    if _pointwise(ksize, stride):
+        grad_k = np.tensordot(
+            gflat, xp.reshape(xp.shape[0], xp.shape[1], -1), ((0, 2), (0, 2)))
+    else:
+        grad_k = np.zeros((kernel_shape[0], int(np.prod(kernel_shape[1:]))))
+        for g, mat in zip(gflat, _patch_matrices(xp, ksize, stride)):
+            grad_k += g @ mat.T
+    return grad_k.reshape(kernel_shape)
 
 
 def _input_grad(grad_out, x_shape, kernel, stride, padding):
@@ -173,10 +146,8 @@ def conv3d_backward(grad_out, x, kernel, stride=1, padding=0):
     kernel = np.asarray(kernel, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     stride, padding = _triple(stride), _triple(padding)
-    gflat = grad_out.reshape(grad_out.shape[0], kernel.shape[0], -1)
-    mats = _patch_matrices(_pad5(x, padding), kernel.shape[2:], stride)
     return (_input_grad(grad_out, x.shape, kernel, stride, padding),
-            _kernel_grad(gflat, mats, kernel.shape),
+            _kernel_grad(grad_out, _pad5(x, padding), kernel.shape, stride),
             grad_out.sum(axis=(0, 2, 3, 4)))
 
 
@@ -251,10 +222,7 @@ def avgpool3d_backward(grad_out, x, window, stride=None):
 
 
 class Conv3d:
-    """Convolution layer owning its kernel and bias parameters.
-
-    A training forward keeps the patch matrices for the kernel gradient.
-    """
+    """Convolution layer owning its kernel and bias parameters."""
 
     def __init__(self, store, name, c_in, c_out, kernel, stride=1, padding=0,
                  rng=None):
@@ -267,36 +235,27 @@ class Conv3d:
         self.stride = _triple(stride)
         self.padding = _triple(padding)
         self._x = None
-        self._patches = None
 
     def forward(self, x, train=False):
         self._x = x
-        # training reuses the previous step's patch array; inference lets
-        # go of it before allocating anything
-        reuse, self._patches = (self._patches if train else None), None
-        out, self._patches = _conv3d_forward(
-            x, self.w.value, self.b.value, self.stride, self.padding,
-            keep=train, reuse=reuse)
-        return out
+        return conv3d_forward(x, self.w.value, self.b.value,
+                              self.stride, self.padding)
 
-    def backward(self, grad_out, input_grad=True):
-        """Accumulate the kernel and bias gradients; return the input's
-        gradient, or None when input_grad is False."""
-        kernel = self.w.value
+    def backward(self, grad_out):
+        """Accumulate the kernel and bias gradients; return the input's."""
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        mats = self._patches
-        if mats is None:  # after inference, or a pointwise kernel's input
-            mats = _patch_matrices(
-                _pad5(np.asarray(self._x, dtype=np.float64), self.padding),
-                kernel.shape[2:], self.stride)
-        self.w.grad += _kernel_grad(
-            grad_out.reshape(len(grad_out), len(kernel), -1), mats,
-            kernel.shape)
+        self._accumulate_param_grads(grad_out)
+        return _input_grad(grad_out, np.shape(self._x), self.w.value,
+                           self.stride, self.padding)
+
+    def _accumulate_param_grads(self, grad_out):
+        """Accumulate the kernel and bias gradients only, for a first layer
+        whose input gradient nobody reads."""
+        grad_out = np.asarray(grad_out, dtype=np.float64)
+        xp = _pad5(np.asarray(self._x, dtype=np.float64), self.padding)
+        self.w.grad += _kernel_grad(grad_out, xp, self.w.value.shape,
+                                    self.stride)
         self.b.grad += grad_out.sum(axis=(0, 2, 3, 4))
-        if not input_grad:
-            return None
-        return _input_grad(grad_out, np.shape(self._x), kernel, self.stride,
-                           self.padding)
 
 
 class _Pool3d:

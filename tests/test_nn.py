@@ -100,7 +100,8 @@ def test_conv3d_forward_memory_stays_per_sample():
     assert peak < 2 * (padded_bytes + out_bytes)
 
 
-def test_conv3d_layer_inference_keeps_no_patches():
+@pytest.mark.parametrize("train", [False, True])
+def test_conv3d_layer_keeps_no_patches(train):
     # the bound of the functional forward above; a kept [B, K, P] patch
     # array would be 110 MB and outlive the call
     rng = np.random.default_rng(5)
@@ -111,7 +112,7 @@ def test_conv3d_layer_inference_keeps_no_patches():
     out_bytes = 50 * 16 * 5 * 12 * 64 * 8
     tracemalloc.start()
     try:
-        out = layer.forward(x, train=False)
+        out = layer.forward(x, train=train)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -151,7 +152,7 @@ def test_pointwise_conv_parameter_gradients_only():
     x = rng.standard_normal((16, 1, 5, 12, 8))
     out = layer.forward(x, train=True)
     grad_out = rng.standard_normal(out.shape)
-    assert layer.backward(grad_out, input_grad=False) is None
+    layer._accumulate_param_grads(grad_out)
     _, want_k, want_b = nn.conv3d_backward(grad_out, x, layer.w.value)
     assert np.array_equal(layer.w.grad, want_k)
     assert np.array_equal(layer.b.grad, want_b)

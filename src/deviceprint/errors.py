@@ -34,4 +34,5 @@ class DataError(PipelineError):
 
 
 class DependencyError(PipelineError):
-    """A pipeline stage was run before the stages it depends on."""
+    """A step was run before the step it depends on: a pipeline stage before
+    the stages it reads, a layer's backward before a train-mode forward."""

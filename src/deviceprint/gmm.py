@@ -114,12 +114,32 @@ def _component_log_probs(gmm, x):
     return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * quad
 
 
+# np.exp takes a slow per-element path for every result that underflows
+# (an argument below about -708), at 18 to 110 ns an element against about
+# 1 ns. Well-separated components put a fifth of a UBM's log-ratios there.
+_EXP_FLOOR = -700.0
+
+
+def _exp_floored(a):
+    """np.exp of the fresh array a, in place, with every entry whose
+    argument lies below _EXP_FLOOR set to exactly 0.0. The exact value is
+    under 1e-304, so a responsibility moves by less than that, and a
+    likelihood row sum, which holds the 1.0 of its top component, not at
+    all."""
+    low = a < _EXP_FLOOR
+    np.maximum(a, _EXP_FLOOR, out=a)
+    np.exp(a, out=a)
+    a[low] = 0.0
+    return a
+
+
 def _posteriors(gmm, x):
     """Responsibilities and total log-likelihood for frames x (N, M)."""
     lp = _component_log_probs(gmm, x)
     top = lp.max(axis=1, keepdims=True)
-    log_px = top + np.log(np.sum(np.exp(lp - top), axis=1, keepdims=True))
-    return np.exp(lp - log_px), float(log_px.sum())
+    log_px = top + np.log(np.sum(_exp_floored(lp - top), axis=1,
+                                 keepdims=True))
+    return _exp_floored(lp - log_px), float(log_px.sum())
 
 
 def log_likelihood(gmm, frames):

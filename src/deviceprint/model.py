@@ -133,6 +133,14 @@ class C3dBiLstm:
         self.layers.extend([MeanOverTime(), self.fc])
 
     def forward(self, x, train=False):
+        """Logits for a [B, 1, T, M, G] batch.
+
+        train=True uses batch statistics in batch norm and keeps each
+        layer's backward state. train=False is inference: batch norm uses
+        its running statistics, no layer keeps anything activation-sized,
+        so each activation is freed once the next layer has consumed it,
+        and a backward afterwards raises DependencyError.
+        """
         x = np.asarray(x, dtype=np.float64)
         m, g, t = self.arch.input_dims
         if x.shape[1:] != (1, t, m, g):

@@ -7,6 +7,7 @@ row-wise over time, applied back to the input sequence.
 import numpy as np
 
 from ..errors import ShapeError
+from .params import forward_state
 
 
 def _attention_weights(x):
@@ -43,8 +44,10 @@ class SelfAttention:
         self._cache = None
 
     def forward(self, x, train=False):
-        out, self._cache = self_attention_forward(x)
+        out, cache = self_attention_forward(x)
+        self._cache = cache if train else None
         return out
 
     def backward(self, grad_out):
-        return self_attention_backward(grad_out, self._cache)
+        return self_attention_backward(grad_out,
+                                       forward_state(self._cache, self))

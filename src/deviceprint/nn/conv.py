@@ -16,13 +16,17 @@ flipped, channel-swapped kernel.
 Pools are non-overlapping (stride must equal the window) and combine the
 window's offset slabs elementwise. The max-pool layer keeps its output and
 routes the gradient against those maxima instead of pooling again.
+
+Layers keep backward state (the conv's input, the pools' input and
+output) only from a train-mode forward; with train=False nothing
+activation-sized outlives the call, and a backward raises DependencyError.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
-from .params import uniform_fanin
+from .params import forward_state, uniform_fanin
 
 
 def _triple(v):
@@ -237,7 +241,7 @@ class Conv3d:
         self._x = None
 
     def forward(self, x, train=False):
-        self._x = x
+        self._x = x if train else None
         return conv3d_forward(x, self.w.value, self.b.value,
                               self.stride, self.padding)
 
@@ -252,7 +256,8 @@ class Conv3d:
         """Accumulate the kernel and bias gradients only, for a first layer
         whose input gradient nobody reads."""
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        xp = _pad5(np.asarray(self._x, dtype=np.float64), self.padding)
+        xp = _pad5(np.asarray(forward_state(self._x, self), dtype=np.float64),
+                   self.padding)
         self.w.grad += _kernel_grad(grad_out, xp, self.w.value.shape,
                                     self.stride)
         self.b.grad += grad_out.sum(axis=(0, 2, 3, 4))
@@ -265,9 +270,9 @@ class _Pool3d:
         self._out = None
 
     def forward(self, x, train=False):
-        self._x = x
-        self._out = self._pool(x, self.window)
-        return self._out
+        out = self._pool(x, self.window)
+        self._x, self._out = (x, out) if train else (None, None)
+        return out
 
 
 class MaxPool3d(_Pool3d):
@@ -276,11 +281,13 @@ class MaxPool3d(_Pool3d):
     _pool = staticmethod(maxpool3d)
 
     def backward(self, grad_out):
-        return _route_to_max(grad_out, self._x, self._out, self.window)
+        return _route_to_max(grad_out, forward_state(self._x, self),
+                             self._out, self.window)
 
 
 class AvgPool3d(_Pool3d):
     _pool = staticmethod(avgpool3d)
 
     def backward(self, grad_out):
-        return avgpool3d_backward(grad_out, self._x, self.window)
+        return avgpool3d_backward(grad_out, forward_state(self._x, self),
+                                  self.window)

@@ -1,10 +1,12 @@
 """Batch norm, activations, dense head, reshaping glue, and the
 softmax cross-entropy loss."""
 
+import weakref
+
 import numpy as np
 
 from ..errors import DataError, LabelError, ShapeError
-from .params import uniform_fanin
+from .params import forward_state, uniform_fanin
 
 
 def _per_channel(v):
@@ -29,8 +31,12 @@ class BatchNorm3d:
     mode normalizes with the running estimates. Either way the output is
     one per-channel multiply and add of the (centred) input. Train mode
     keeps the centred input xc = x - mean for backward, which needs only
-    the per-channel sums of g and g * xc; inference mode keeps a reference
-    to its input and allocates nothing beyond its output.
+    the per-channel sums of g and g * xc. Inference mode allocates nothing
+    beyond its output and keeps only a weak reference to its input: a
+    caller that still holds the input can run backward (the inference
+    gradient check does), but inside the network the input is freed as
+    soon as the next layer's output replaces it, and a backward then
+    raises DependencyError.
     """
 
     def __init__(self, store, name, channels, eps=1e-5, momentum=0.9):
@@ -48,7 +54,7 @@ class BatchNorm3d:
         if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             scale = self.gamma.value * inv_std
-            self._cache = (x, self.running_mean, inv_std, None)
+            self._cache = (weakref.ref(x), self.running_mean, inv_std, None)
             out = x * _per_channel(scale)
             out += _per_channel(self.beta.value - self.running_mean * scale)
             return out
@@ -70,8 +76,9 @@ class BatchNorm3d:
         return out
 
     def backward(self, grad_out):
-        kept, mean, inv_std, m = self._cache
-        xc = kept if m is not None else kept - _per_channel(mean)
+        xc, mean, inv_std, m = forward_state(self._cache, self)
+        if m is None:  # inference: xc holds a weak reference to the input
+            xc = forward_state(xc(), self) - _per_channel(mean)
         sum_g = _channel_sum(grad_out)
         sum_g_xc = _channel_dot(grad_out, xc)
         self.gamma.grad += inv_std * sum_g_xc
@@ -92,11 +99,12 @@ class ReLU:
         self._mask = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if train else None
+        return x * mask
 
     def backward(self, grad_out):
-        return grad_out * self._mask
+        return grad_out * forward_state(self._mask, self)
 
 
 class FlattenPerStep:
@@ -137,11 +145,11 @@ class Dense:
         self._x = None
 
     def forward(self, x, train=False):
-        self._x = x
+        self._x = x if train else None
         return x @ self.w.value + self.b.value
 
     def backward(self, grad_out):
-        self.w.grad += self._x.T @ grad_out
+        self.w.grad += forward_state(self._x, self).T @ grad_out
         self.b.grad += grad_out.sum(axis=0)
         return grad_out @ self.w.value.T
 

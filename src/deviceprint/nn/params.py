@@ -1,11 +1,12 @@
-"""Named trainable parameters with gradients, plus checkpoint I/O."""
+"""Named trainable parameters with gradients, checkpoint I/O, and the
+check every layer's backward makes on the state its forward kept."""
 
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError
+from ..errors import ConfigError, DependencyError, FormatError
 
 CHECKPOINT_MAGIC = b"STRL1"
 
@@ -46,6 +47,17 @@ class ParamStore:
 
     def n_scalars(self):
         return sum(p.value.size for p in self._params.values())
+
+
+def forward_state(state, layer):
+    """The backward state layer's last forward kept. A forward with
+    train=False keeps none, since no backward follows inference."""
+    if state is None:
+        raise DependencyError(
+            f"{type(layer).__name__}.backward needs a train-mode forward "
+            "first: an inference forward (train=False) keeps no backward "
+            "state")
+    return state
 
 
 def uniform_fanin(rng, shape, fan_in):

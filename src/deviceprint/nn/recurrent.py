@@ -8,7 +8,7 @@ o_t * tanh(C_t).
 import numpy as np
 
 from ..errors import ShapeError
-from .params import uniform_fanin
+from .params import forward_state, uniform_fanin
 
 GATES = ("i", "f", "o", "c")
 
@@ -140,11 +140,11 @@ class BiLstm:
         out_f, caches_f = _run_direction(seq, self.fwd)
         out_b, caches_b = _run_direction(
             np.ascontiguousarray(seq[:, ::-1]), self.bwd)
-        self._caches = (caches_f, caches_b)
+        self._caches = (caches_f, caches_b) if train else None
         return np.concatenate([out_f, out_b[:, ::-1]], axis=2)
 
     def backward(self, grad_out):
-        caches_f, caches_b = self._caches
+        caches_f, caches_b = forward_state(self._caches, self)
         h = self.hidden
         grad_f = np.ascontiguousarray(grad_out[:, :, :h])
         grad_b = np.ascontiguousarray(grad_out[:, ::-1, h:])

@@ -195,6 +195,9 @@ def load_config(path=None):
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config "
+                          f"({exc.strerror or exc})") from exc
     return parse_config_text(text)
 
 

@@ -291,6 +291,17 @@ def test_config_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_config_unreadable(tmp_path, capsys, name):
+    path = tmp_path / name
+    with pytest.raises(ConfigError):
+        pipeline.load_config(path)
+    assert main(["synth", "--config", str(path), "--workdir",
+                 str(tmp_path / "w")]) == 1
+    assert "error [synth]:" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_undecodable_hash_sidecar_rebuilds(tiny_cfg, capsys):
     pipeline.stage_synth(tiny_cfg)
     manifest = tiny_cfg.workdir / "corpus" / "manifest.tsv"

@@ -107,6 +107,26 @@ def test_log_likelihood_naive_oracle():
     assert gmm.log_likelihood(model, frames) == pytest.approx(naive, abs=1e-9)
 
 
+def test_posteriors_zero_only_what_exp_underflows():
+    # components 40 standard deviations apart: most log-ratios lie below
+    # exp's underflow, where the plain formula gives 0.0 or a subnormal
+    rng = np.random.default_rng(14)
+    means = np.array([[-40.0, 0.0], [0.0, 0.0], [40.0, 0.0]])
+    model = gmm.DiagGmm(np.full(3, 1 / 3), means, np.ones((3, 2)))
+    x = np.column_stack([rng.uniform(-45.0, 45.0, 400),
+                         rng.standard_normal(400)])
+    lp = gmm._component_log_probs(model, x)
+    top = lp.max(axis=1, keepdims=True)
+    log_px = top + np.log(np.sum(np.exp(lp - top), axis=1, keepdims=True))
+    plain = np.exp(lp - log_px)
+    assert np.any(plain == 0.0)
+    assert np.any((plain > 0.0) & (plain < np.finfo(float).tiny))
+    resp, ll = gmm._posteriors(model, x)
+    assert ll == float(log_px.sum())
+    assert np.max(np.abs(resp - plain)) <= 1e-300
+    assert np.all(resp[lp - log_px < -700.0] == 0.0)
+
+
 def test_log_likelihood_shape_error():
     model = gmm.DiagGmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
     with pytest.raises(ShapeError):

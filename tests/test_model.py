@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deviceprint import audio, mfcc, model
-from deviceprint.errors import ConfigError, DataError, ShapeError
+from deviceprint.errors import (ConfigError, DataError, DependencyError,
+                               ShapeError)
 from deviceprint.gmm import SgmmTensor
-from deviceprint.nn import BiLstm
+from deviceprint.nn import AdamState, BiLstm, adam_step
 
 
 def _tensor(rng, dims=(12, 8, 4)):
@@ -52,6 +55,56 @@ def test_time_axis_preserved_through_stack():
         if isinstance(layer, BiLstm):
             reached_bilstm = True
     assert reached_bilstm
+
+
+def test_inference_forward_holds_one_activation_at_a_time():
+    # the evaluation shape at G=64: keeping every layer's backward state
+    # peaked at 104 MiB and held 99 MiB after the call; conv1's padded
+    # input and output (about 37 MiB) next to its input set the peak now
+    arch = model.ArchitectureConfig(input_dims=(12, 64, 5), n_classes=5)
+    net = model.build_model(arch, seed=0)
+    x = np.random.default_rng(3).uniform(0, 1, (50, 1, 5, 12, 64))
+    tracemalloc.start()
+    try:
+        logits = net.forward(x, train=False)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (50, 5)
+    assert peak < 64 * 2**20
+    assert held < 2**20
+
+
+def test_backward_after_inference_forward_raises():
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 4), n_classes=3)
+    net = model.build_model(arch, seed=1)
+    x = np.random.default_rng(4).uniform(0, 1, (4, 1, 4, 12, 8))
+    net.forward(x, train=True)
+    logits = net.forward(x, train=False)
+    with pytest.raises(DependencyError, match="inference forward"):
+        net.backward(np.ones_like(logits))
+
+
+def test_inference_between_training_steps_leaves_gradients():
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 4), n_classes=3)
+    rng = np.random.default_rng(5)
+    batches = [rng.uniform(0, 1, (4, 1, 4, 12, 8)) for _ in range(3)]
+    probe = rng.standard_normal((4, 3))
+    after = []
+    for interrupt in (False, True):
+        net = model.build_model(arch, seed=1)
+        state = AdamState(net.params, alpha=0.002)
+        for step, x in enumerate(batches[:2]):
+            if interrupt and step == 1:
+                net.forward(batches[2], train=False)
+            net.params.zero_grads()
+            net.forward(x, train=True)
+            net.backward(probe)
+            if step == 0:
+                adam_step(net.params, state)
+        after.append({name: p.grad.copy() for name, p in net.params.items()})
+        after[-1].update(net.state_arrays())
+    assert all(np.array_equal(after[0][k], after[1][k]) for k in after[0])
 
 
 def test_parameter_count_matches_hand_sum():

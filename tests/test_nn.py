@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from deviceprint import model, nn
-from deviceprint.errors import DataError, LabelError, ShapeError
+from deviceprint.errors import (DataError, DependencyError, LabelError,
+                               ShapeError)
 from deviceprint.nn import gradcheck
 from deviceprint.nn.recurrent import _run_direction
 
@@ -444,6 +445,48 @@ def test_cross_entropy_finite_difference():
 
 def test_dense_finite_difference():
     assert gradcheck.check_dense(seed=0) < 1e-6
+
+
+# --- inference mode keeps no backward state -----------------------------------
+
+def _stateful_layers():
+    rng = np.random.default_rng(13)
+    store = nn.ParamStore()
+    cases = [
+        (nn.Conv3d(store, "conv", 2, 3, (1, 3, 3), padding=(0, 1, 1), rng=rng),
+         (2, 2, 2, 4, 4)),
+        (nn.ReLU(), (2, 3, 4)),
+        (nn.MaxPool3d((1, 2, 2)), (2, 2, 1, 4, 4)),
+        (nn.AvgPool3d((1, 2, 2)), (2, 2, 1, 4, 4)),
+        (nn.BiLstm(store, "bilstm", 3, 4, rng=rng), (2, 3, 3)),
+        (nn.SelfAttention(), (2, 3, 4)),
+        (nn.Dense(store, "fc", 4, 5, rng=rng), (3, 4)),
+    ]
+    return [pytest.param(*case, id=type(case[0]).__name__) for case in cases]
+
+
+@pytest.mark.parametrize("layer, shape", _stateful_layers())
+def test_backward_after_inference_forward_raises(layer, shape):
+    x = np.random.default_rng(14).standard_normal(shape)
+    out = layer.forward(x, train=True)
+    assert np.array_equal(layer.forward(x, train=False), out)
+    with pytest.raises(DependencyError, match="train-mode forward"):
+        layer.backward(np.ones_like(out))
+    layer.forward(x, train=True)
+    layer.backward(np.ones_like(out))
+
+
+def test_batchnorm_inference_backward_needs_a_live_input():
+    # inference keeps a weak reference: backward works while the caller
+    # holds the input, and raises once the input is gone
+    rng = np.random.default_rng(15)
+    bn = nn.BatchNorm3d(nn.ParamStore(), "bn", 2)
+    x = rng.standard_normal((2, 2, 1, 3, 3))
+    out = bn.forward(x, train=False)
+    assert bn.backward(np.ones_like(out)).shape == x.shape
+    bn.forward(rng.standard_normal(x.shape), train=False)
+    with pytest.raises(DependencyError, match="train-mode forward"):
+        bn.backward(np.ones_like(out))
 
 
 # --- Adam -------------------------------------------------------------------------

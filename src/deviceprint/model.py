@@ -280,22 +280,23 @@ def metrics_from_predictions(y_true, y_pred, n_classes, mean_loss=float("nan"),
                    label_order=label_order)
 
 
-def evaluate(model, test_set, label_order=None, batch_size=64):
-    """Inference-mode evaluation: argmax decisions, confusion bookkeeping."""
+def evaluate(model, test_set, label_order=None,
+             batch_size=TrainConfig.batch_size):
+    """Inference-mode evaluation: argmax decisions, confusion bookkeeping.
+
+    The forward runs in batches of the training batch size, so inference
+    never holds more activations than a training step does. The loss is
+    taken once over all the logits, so it does not depend on the batching.
+    """
     if not test_set:
         raise DataError("test set is empty")
     xs, ys = stack_features(test_set)
-    eye = np.eye(model.arch.n_classes)
-    preds = np.empty(len(ys), dtype=np.intp)
-    loss_sum = 0.0
-    for start in range(0, len(ys), batch_size):
-        sl = slice(start, start + batch_size)
-        logits = model.forward(xs[sl], train=False)
-        loss, _ = softmax_cross_entropy(logits, eye[ys[sl]])
-        loss_sum += loss * len(ys[sl])
-        preds[sl] = logits.argmax(axis=1)
-    return metrics_from_predictions(ys, preds, model.arch.n_classes,
-                                    mean_loss=loss_sum / len(ys),
+    logits = np.concatenate([model.forward(xs[start:start + batch_size],
+                                           train=False)
+                             for start in range(0, len(ys), batch_size)])
+    loss, _ = softmax_cross_entropy(logits, np.eye(model.arch.n_classes)[ys])
+    return metrics_from_predictions(ys, logits.argmax(axis=1),
+                                    model.arch.n_classes, mean_loss=loss,
                                     label_order=label_order)
 
 

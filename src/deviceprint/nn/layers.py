@@ -95,13 +95,15 @@ class BatchNorm3d:
 
 
 class ReLU:
+    """max(x, 0) in one pass; train mode also keeps the x > 0 mask that
+    backward multiplies by (a multiply, since np.where is slower)."""
+
     def __init__(self):
         self._mask = None
 
     def forward(self, x, train=False):
-        mask = x > 0
-        self._mask = mask if train else None
-        return x * mask
+        self._mask = x > 0 if train else None
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
         return grad_out * forward_state(self._mask, self)

@@ -85,10 +85,10 @@ def load_checkpoint(path):
     raw = Path(path).read_bytes()
     if raw[:5] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
-    (count,) = struct.unpack_from("<i", raw, 5)
-    pos = 9
     arrays = {}
     try:
+        (count,) = struct.unpack_from("<i", raw, 5)
+        pos = 9
         for _ in range(count):
             (name_len,) = struct.unpack_from("<i", raw, pos)
             pos += 4

@@ -20,7 +20,7 @@ from . import gmm as gmm_mod
 from . import mfcc as mfcc_mod
 from . import model as model_mod
 from .audio import map_jobs, read_manifest, read_wav, synth_corpus
-from .errors import ConfigError, DependencyError
+from .errors import ConfigError, DataError, DependencyError, FormatError
 from .mfcc import FrameConfig, MelConfig
 from .model import ArchitectureConfig, GmmConfig, TrainConfig
 from .nn import load_checkpoint, save_checkpoint
@@ -376,23 +376,35 @@ def stage_sgmm(cfg, jobs=1, log=print):
     return manifest
 
 
-def _feature_sets(cfg, manifest):
-    """(tensor, label) pairs of each split, from the sgmm stage."""
-    sets = {}
-    for split in ("train", "test"):
-        entries = manifest.for_split(split)
-        tensors = [gmm_mod.load_sgmm(path)
-                   for path in _clip_files(cfg, entries, "sgmm")]
-        sets[split] = list(zip(tensors,
-                               model_mod.label_indices(manifest, entries)))
-    return sets
+def _feature_set(cfg, manifest, split):
+    """(tensor, label) pairs of one split, from the sgmm stage."""
+    entries = manifest.for_split(split)
+    tensors = [gmm_mod.load_sgmm(path)
+               for path in _clip_files(cfg, entries, "sgmm")]
+    return list(zip(tensors, model_mod.label_indices(manifest, entries)))
 
 
-def _build_network(cfg, sets, n_classes):
-    """The network `train` fits and `eval` restores, sized to the tensors."""
-    arch = model_mod.fit_architecture(sets["train"] + sets["test"], n_classes,
-                                      **cfg.arch_kwargs())
-    return model_mod.build_model(arch, seed=cfg.get("train.seed"))
+def _arch_text(arch, labels):
+    """arch.txt: the input dims and labels a checkpoint was trained on."""
+    m, g, t = arch.input_dims
+    return (f"input_dims = {m}/{g}/{t}\nn_classes = {arch.n_classes}\n"
+            f"labels = {','.join(labels)}\n")
+
+
+def _read_arch(path):
+    """(input_dims, labels) of an arch.txt written by `_arch_text`."""
+    try:
+        fields = dict(line.split(" = ", 1) for line in
+                      path.read_text(encoding="utf-8").splitlines())
+        dims = tuple(int(v) for v in fields["input_dims"].split("/"))
+        n_classes = int(fields["n_classes"])
+        labels = fields["labels"].split(",")
+    except (UnicodeDecodeError, ValueError, KeyError) as exc:
+        raise FormatError(f"{path}: malformed architecture record") from exc
+    if len(dims) != 3 or n_classes != len(labels):
+        raise FormatError(f"{path}: input_dims needs three extents and "
+                          f"n_classes must count the labels")
+    return dims, labels
 
 
 def _write_metrics(out_dir, metrics, log):
@@ -412,21 +424,19 @@ def stage_train(cfg, log=print):
     if _fresh(out, digest):
         log(f"train: up to date ({out})")
         return out
-    sets = _feature_sets(cfg, manifest)
+    train_set = _feature_set(cfg, manifest, "train")
     label_order = manifest.device_ids()
-    net = _build_network(cfg, sets, len(label_order))
-    history = model_mod.train(net, sets["train"], cfg.train_config())
+    arch = model_mod.fit_architecture(train_set, len(label_order),
+                                      **cfg.arch_kwargs())
+    net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
+    history = model_mod.train(net, train_set, cfg.train_config())
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, net.state_arrays())
     lines = ["epoch,lr,loss,train_acc"]
     lines += [f"{h['epoch']},{h['lr']},{h['loss']},{h['train_acc']}"
               for h in history]
     (out.parent / "history.csv").write_text("\n".join(lines) + "\n")
-    m, g, t = net.arch.input_dims
-    arch_lines = [f"input_dims = {m}/{g}/{t}",
-                  f"n_classes = {net.arch.n_classes}",
-                  f"labels = {','.join(label_order)}"]
-    (out.parent / "arch.txt").write_text("\n".join(arch_lines) + "\n")
+    (out.parent / "arch.txt").write_text(_arch_text(arch, label_order))
     _mark(out, digest)
     log(f"train: {len(history)} epochs, final loss {history[-1]['loss']:.4f}, "
         f"train accuracy {history[-1]['train_acc']:.4f}")
@@ -435,13 +445,31 @@ def stage_train(cfg, log=print):
 
 
 def stage_eval(cfg, log=print):
+    """Evaluate the checkpoint on the test split, the only one it reads.
+
+    The test tensors and the manifest's labels must match the arch.txt
+    that `train` wrote with the checkpoint; they are checked before any
+    network is built.
+    """
     manifest = _require_manifest(cfg)
-    sets = _feature_sets(cfg, manifest)
-    ckpt = _require([cfg.workdir / "model" / "model.ckpt"], "train")[0]
-    label_order = manifest.device_ids()
-    net = _build_network(cfg, sets, len(label_order))
+    ckpt, arch_path = _require([cfg.workdir / "model" / "model.ckpt",
+                                cfg.workdir / "model" / "arch.txt"], "train")
+    input_dims, label_order = _read_arch(arch_path)
+    if label_order != manifest.device_ids():
+        raise DataError(f"checkpoint labels {','.join(label_order)} differ "
+                        f"from the manifest's "
+                        f"{','.join(manifest.device_ids())}; rerun `train`")
+    test_set = _feature_set(cfg, manifest, "test")
+    stale = sorted({t.data.shape for t, _ in test_set} - {input_dims})
+    if stale:
+        raise DataError(f"test tensors of shape {stale} do not match the "
+                        f"checkpoint's input dims {input_dims}; "
+                        f"rerun `train`")
+    arch = ArchitectureConfig(input_dims, len(label_order),
+                              **cfg.arch_kwargs())
+    net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
     net.load_state(load_checkpoint(ckpt))
-    metrics = model_mod.evaluate(net, sets["test"], label_order=label_order)
+    metrics = model_mod.evaluate(net, test_set, label_order=label_order)
     _write_metrics(cfg.workdir / "eval", metrics, log)
     log(f"eval: accuracy {metrics.accuracy:.4f}")
     return metrics

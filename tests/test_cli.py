@@ -1,11 +1,13 @@
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deviceprint import audio, gmm, mfcc, model, pipeline
 from deviceprint.cli import main
-from deviceprint.errors import ConfigError, DataError
+from deviceprint.errors import (ConfigError, DataError, DependencyError,
+                                FormatError)
 
 TINY = """
 corpus.devices = 3
@@ -313,3 +315,96 @@ def test_undecodable_hash_sidecar_rebuilds(tiny_cfg, capsys):
     pipeline.stage_synth(tiny_cfg)
     assert "wrote 18 clips" in capsys.readouterr().out
     assert pipeline._fresh(manifest, digest)
+
+
+# --- eval reads the test split and checks the checkpoint's arch.txt ----------
+
+@pytest.fixture(scope="module")
+def trained_tiny(tmp_path_factory):
+    cfg = pipeline.parse_config_text(TINY)
+    cfg.set("paths.workdir", str(tmp_path_factory.mktemp("trained") / "work"))
+    for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
+                  pipeline.stage_train_ubm, pipeline.stage_sgmm,
+                  pipeline.stage_train):
+        stage(cfg, log=lambda *a: None)
+    return cfg.workdir
+
+
+@pytest.fixture()
+def trained_cfg(trained_tiny, tmp_path):
+    """A copy of a TINY workdir built through `train`."""
+    cfg = pipeline.parse_config_text(TINY)
+    cfg.set("paths.workdir", str(tmp_path / "work"))
+    shutil.copytree(trained_tiny, cfg.workdir)
+    return cfg
+
+
+def _no_build(arch, seed=0):
+    raise AssertionError("eval built a network for a stale checkpoint")
+
+
+def test_eval_loads_only_test_tensors(trained_cfg, monkeypatch):
+    loaded = []
+    load = gmm.load_sgmm
+
+    def recording_load(path):
+        loaded.append(path)
+        return load(path)
+
+    monkeypatch.setattr(gmm, "load_sgmm", recording_load)
+    pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    manifest = audio.read_manifest(
+        trained_cfg.workdir / "corpus" / "manifest.tsv")
+    test_stems = {Path(e.path).stem for e in manifest.for_split("test")}
+    assert sorted(Path(p).stem for p in loaded) == sorted(test_stems)
+    assert len(loaded) == 6
+
+
+@pytest.mark.parametrize("key, value", [
+    ("labels", "device00,device02,device01"),
+    ("input_dims", "12/16/24"),
+])
+def test_eval_rejects_edited_arch(trained_cfg, monkeypatch, key, value):
+    arch = trained_cfg.workdir / "model" / "arch.txt"
+    lines = [f"{key} = {value}" if line.startswith(key + " ") else line
+             for line in arch.read_text().splitlines()]
+    arch.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(model, "build_model", _no_build)
+    with pytest.raises(DataError, match="train"):
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+
+
+def test_eval_rejects_sgmm_rebuilt_without_train(trained_cfg, monkeypatch):
+    trained_cfg.set("gmm.components", 4)
+    for stage in (pipeline.stage_train_ubm, pipeline.stage_sgmm):
+        stage(trained_cfg, log=lambda *a: None)
+    monkeypatch.setattr(model, "build_model", _no_build)
+    with pytest.raises(DataError, match="train"):
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+
+
+@pytest.mark.parametrize("text", [
+    b"", b"input_dims = 12/8\nn_classes = 3\nlabels = a,b,c\n",
+    b"input_dims = 12/8/x\nn_classes = 3\nlabels = a,b,c\n",
+    b"input_dims = 12/8/24\nn_classes = 2\nlabels = a,b,c\n",
+    b"input_dims: 12/8/24\n", b"\xff\xfe",
+], ids=["empty", "two_dims", "bad_extent", "count", "no_equals", "not_utf8"])
+def test_eval_rejects_malformed_arch(trained_cfg, text):
+    (trained_cfg.workdir / "model" / "arch.txt").write_bytes(text)
+    with pytest.raises(FormatError):
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+
+
+def test_eval_requires_arch(trained_cfg):
+    (trained_cfg.workdir / "model" / "arch.txt").unlink()
+    with pytest.raises(DependencyError, match="train"):
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+
+
+def test_cli_eval_reports_stale_checkpoint(trained_cfg, tmp_path, capsys):
+    arch = trained_cfg.workdir / "model" / "arch.txt"
+    arch.write_text(arch.read_text().replace("device00", "device09"))
+    path = _cfg_file(tmp_path, trained_cfg)
+    assert main(["eval", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [eval]: ") and "train" in err

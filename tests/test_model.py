@@ -209,6 +209,43 @@ def test_evaluate_chance_level_for_random_model():
     assert abs(metrics.accuracy - 1 / n_classes) <= 0.08
 
 
+@pytest.fixture(scope="module")
+def g64_eval():
+    """A G=64 network and 50 labelled clips, the shipped test-split shape."""
+    rng = np.random.default_rng(21)
+    data = [(_tensor(rng, dims=(12, 64, 5)), k % 5) for k in range(50)]
+    arch = model.ArchitectureConfig(input_dims=(12, 64, 5), n_classes=5)
+    return model.build_model(arch, seed=4), data
+
+
+def test_evaluate_batching_leaves_metrics_bit_identical(g64_eval):
+    """The default batch (the training batch size) against one batch of 64.
+
+    The per-clip convs and pools do not depend on the batch, but the
+    recurrent and dense matmuls go through BLAS, whose kernel can change
+    with the row count: a trailing batch of one clip moved logits by about
+    1e-17 against the same clip in a batch of 50. 50 clips end in a batch
+    of two, which matches bit for bit.
+    """
+    net, data = g64_eval
+    default = model.evaluate(net, data)
+    single = model.evaluate(net, data, batch_size=64)
+    assert default.kv_records() == single.kv_records()
+    assert np.array_equal(default.confusion, single.confusion)
+
+
+def test_evaluate_holds_one_training_batch(g64_eval):
+    # one batch of 50 peaked at 52.8 MiB; batches of 16 at about 19 MiB
+    net, data = g64_eval
+    tracemalloc.start()
+    try:
+        model.evaluate(net, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20
+
+
 def test_confusion_bookkeeping_identity():
     y_true = [0, 0, 1, 2, 2, 2]
     y_pred = [0, 1, 1, 2, 0, 2]

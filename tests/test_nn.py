@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from deviceprint import model, nn
-from deviceprint.errors import (DataError, DependencyError, LabelError,
-                               ShapeError)
+from deviceprint.errors import (DataError, DependencyError, FormatError,
+                               LabelError, ShapeError)
 from deviceprint.nn import gradcheck
 from deviceprint.nn.recurrent import _run_direction
 
@@ -447,6 +447,41 @@ def test_dense_finite_difference():
     assert gradcheck.check_dense(seed=0) < 1e-6
 
 
+# --- ReLU -------------------------------------------------------------------------
+
+def _relu_input():
+    """Finite values with signed zeros and repeated entries (ties)."""
+    rng = np.random.default_rng(16)
+    x = rng.choice([-2.5, -1.0, -0.0, 0.0, 1e-300, 1.0, 3.0],
+                   size=(2, 3, 2, 4, 4))
+    x[0] += rng.standard_normal(x[0].shape)
+    return x
+
+
+def test_relu_forward_matches_masked_product():
+    x = _relu_input()
+    out = nn.ReLU().forward(x, train=True)
+    assert np.array_equal(out, x * (x > 0))
+    assert not np.any(np.signbit(out))
+
+
+def test_relu_backward_is_the_masked_gradient():
+    x = _relu_input()
+    relu = nn.ReLU()
+    relu.forward(x, train=True)
+    g = np.random.default_rng(17).standard_normal(x.shape)
+    grad = relu.backward(g)
+    expected = g * (x > 0)
+    assert grad.tobytes() == expected.tobytes()
+
+
+def test_relu_inference_keeps_no_mask():
+    relu = nn.ReLU()
+    relu.forward(_relu_input(), train=True)
+    relu.forward(_relu_input(), train=False)
+    assert relu._mask is None
+
+
 # --- inference mode keeps no backward state -----------------------------------
 
 def _stateful_layers():
@@ -554,6 +589,16 @@ def test_checkpoint_round_trip(tmp_path):
     for name in arrays:
         assert np.array_equal(back[name], np.asarray(arrays[name]))
     assert path.read_bytes()[:5] == b"STRL1"
+
+
+@pytest.mark.parametrize("raw", [b"STRL1", b"STRL1\x01\x00",
+                                 b"STRL1\x01\x00\x00"],
+                         ids=["5_bytes", "7_bytes", "8_bytes"])
+def test_checkpoint_truncated_entry_count(tmp_path, raw):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="truncated"):
+        nn.load_checkpoint(path)
 
 
 def test_checkpoint_with_adam_suffixes(tmp_path):

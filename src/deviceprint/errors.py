@@ -36,3 +36,7 @@ class DataError(PipelineError):
 class DependencyError(PipelineError):
     """A step was run before the step it depends on: a pipeline stage before
     the stages it reads, a layer's backward before a train-mode forward."""
+
+
+class CacheError(PipelineError):
+    """A stage's `.hash` sidecar cannot be read or written."""

@@ -101,17 +101,30 @@ class SgmmTensor:
 # Likelihood machinery (log-space throughout)
 # ---------------------------------------------------------------------------
 
-def _component_log_probs(gmm, x):
+def _component_log_probs(gmm, x, x2=None, out=None, work=None):
     """log [w_g N(x; mu_g, sigma2_g)] for every frame/component pair.
 
-    x is (N, M), result is (N, M independent) -> (N, G).
+    x is (N, M), result is (N, M independent) -> (N, G). x2 is x ** 2 when
+    the caller already has it; the result is written into out and work is
+    scratch, both (N, G) and freshly allocated when not given.
     """
+    if x2 is None:
+        x2 = x ** 2
+    shape = (x.shape[0], gmm.n_components)
+    out = np.empty(shape) if out is None else out
+    work = np.empty(shape) if work is None else work
     inv_var = 1.0 / gmm.variances
     log_norm = -0.5 * (gmm.n_dims * _LOG_2PI
                        + np.sum(np.log(gmm.variances), axis=1))
-    quad = (x ** 2) @ inv_var.T - 2.0 * (x @ (gmm.means * inv_var).T) \
-        + np.sum(gmm.means ** 2 * inv_var, axis=1)[None, :]
-    return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * quad
+    # quad = x2 @ inv_var.T - 2 (x @ (mu inv_var).T) + sum(mu^2 inv_var)
+    np.matmul(x2, inv_var.T, out=out)
+    np.matmul(x, (gmm.means * inv_var).T, out=work)
+    work *= 2.0
+    out -= work
+    out += np.sum(gmm.means ** 2 * inv_var, axis=1)[None, :]
+    out *= 0.5
+    return np.subtract(np.log(gmm.weights)[None, :] + log_norm[None, :],
+                       out, out=out)
 
 
 # np.exp takes a slow per-element path for every result that underflows
@@ -133,13 +146,21 @@ def _exp_floored(a):
     return a
 
 
-def _posteriors(gmm, x):
-    """Responsibilities and total log-likelihood for frames x (N, M)."""
-    lp = _component_log_probs(gmm, x)
+def _posteriors(gmm, x, x2=None, bufs=None):
+    """Responsibilities and total log-likelihood for frames x (N, M).
+
+    x2 is x ** 2 when the caller already has it. bufs, two C-ordered
+    (N, G) arrays, hold the work, and the first is returned as the
+    responsibilities; without them each call allocates its own.
+    """
+    lp, work = (None, None) if bufs is None else bufs
+    lp = _component_log_probs(gmm, x, x2, lp, work)
     top = lp.max(axis=1, keepdims=True)
-    log_px = top + np.log(np.sum(_exp_floored(lp - top), axis=1,
+    work = np.subtract(lp, top, out=work)
+    log_px = top + np.log(np.sum(_exp_floored(work), axis=1,
                                  keepdims=True))
-    return _exp_floored(lp - log_px), float(log_px.sum())
+    return (_exp_floored(np.subtract(lp, log_px, out=lp)),
+            float(log_px.sum()))
 
 
 def log_likelihood(gmm, frames):
@@ -183,6 +204,10 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0,
     variance_floor_factor times the global per-dimension variance after
     every update, so degenerate inputs converge instead of blowing up (the
     `degenerate` diagnostic is set when the data has no spread at all).
+
+    The squared frames are computed once, and every iteration's
+    log-probabilities and responsibilities are written into the same two
+    (N, G) buffers, with the operations `_posteriors` runs unbuffered.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -225,10 +250,12 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0,
     weights /= weights.sum()
 
     gmm = DiagGmm(weights, means, variances)
+    x2 = x ** 2
+    bufs = (np.empty((n, n_components)), np.empty((n, n_components)))
     lls = []
     converged = False
     for _ in range(max_iters):
-        resp, ll = _posteriors(gmm, x)
+        resp, ll = _posteriors(gmm, x, x2, bufs)
         lls.append(ll)
         if len(lls) > 1 and ll - lls[-2] < tol:
             converged = True
@@ -240,7 +267,7 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0,
         new_mu = gmm.means.copy()
         new_var = gmm.variances.copy()
         new_mu[safe] = (resp.T @ x)[safe] / occ[safe, None]
-        second = (resp.T @ (x ** 2))[safe] / occ[safe, None]
+        second = (resp.T @ x2)[safe] / occ[safe, None]
         new_var[safe] = second - new_mu[safe] ** 2
         new_var = np.maximum(new_var, floor)
         gmm = DiagGmm(new_w, new_mu, new_var)
@@ -265,14 +292,23 @@ def map_adapt_means(ubm, segment, relevance):
     adapted mean is a_g E_g + (1 - a_g) mu_g with a_g = n_g / (n_g + r).
     Components the segment never touches keep the UBM mean. Returns (G, M).
     """
-    if relevance < 0:
-        raise ConfigError("relevance factor must be >= 0")
+    _check_relevance(relevance)
     segment = np.asarray(segment, dtype=np.float64)
     if segment.ndim != 2 or segment.shape[0] != ubm.n_dims:
         raise ShapeError(
             f"segment must be ({ubm.n_dims}, t), got {segment.shape}")
     x = segment.T
-    resp, _ = _posteriors(ubm, x)
+    return _adapted_means(ubm, x, _posteriors(ubm, x)[0], relevance)
+
+
+def _check_relevance(relevance):
+    if relevance < 0:
+        raise ConfigError("relevance factor must be >= 0")
+
+
+def _adapted_means(ubm, x, resp, relevance):
+    """The `map_adapt_means` formula, given one segment's frames x (t, M)
+    and their responsibilities resp (t, G) under the UBM."""
     occ = resp.sum(axis=0)
     posterior_means = ubm.means.copy()
     touched = occ > 0
@@ -312,13 +348,22 @@ def extract_sgmm(ubm, mfcc, seg_frames, relevance):
 
     Each segment is MAP-adapted, transposed to (M, G), min-max normalized
     per feature row, and stacked along the third axis in segment order.
+    The responsibilities of all the segments' frames come from one
+    `_posteriors` pass; each segment is then adapted by the formula
+    `map_adapt_means` applies, from its own rows of that pass.
     """
-    segmented = segment_frames(mfcc, seg_frames)
-    n_segments = len(segmented.segments)
+    _check_relevance(relevance)
+    n_segments = len(segment_frames(mfcc, seg_frames).segments)
+    if mfcc.n_ceps != ubm.n_dims:
+        raise ShapeError(f"segments must be ({ubm.n_dims}, t), got "
+                         f"({mfcc.n_ceps}, {seg_frames})")
+    x = mfcc.coeffs[:, :n_segments * seg_frames].T
+    resp, _ = _posteriors(ubm, x)
     data = np.empty((ubm.n_dims, ubm.n_components, n_segments))
-    for idx, segment in enumerate(segmented.segments):
+    for idx in range(n_segments):
+        rows = slice(idx * seg_frames, (idx + 1) * seg_frames)
         data[:, :, idx] = minmax_normalize(
-            map_adapt_means(ubm, segment, relevance).T)
+            _adapted_means(ubm, x[rows], resp[rows], relevance).T)
     return SgmmTensor(data=data, n_components=ubm.n_components,
                       seg_frames=seg_frames, relevance=float(relevance))
 

@@ -2,6 +2,7 @@
 log compression, and an orthonormal DCT-II, with configurable band limits
 and frame geometry."""
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,7 +83,8 @@ def frame_signal(clip, cfg):
     """Slice a clip into overlapping frames, one row per frame.
 
     Frame i starts at i * shift; frames that would overrun the signal are
-    dropped, so the frame count is floor((len - L) / shift) + 1.
+    dropped, so the frame count is floor((len - L) / shift) + 1. The result
+    is a read-only strided view of the clip's samples, not a copy.
     """
     length = cfg.frame_len(clip.sample_rate)
     shift = cfg.frame_shift(clip.sample_rate)
@@ -90,9 +92,7 @@ def frame_signal(clip, cfg):
     if x.size < length:
         raise TooShortError(
             f"clip has {x.size} samples, frame needs {length}")
-    n_frames = (x.size - length) // shift + 1
-    idx = np.arange(length)[None, :] + shift * np.arange(n_frames)[:, None]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, length)[::shift]
 
 
 def hamming_window(frame):
@@ -168,6 +168,19 @@ def dct_matrix(n_ceps, n_filters, first_row=0):
     return scale * mat
 
 
+@functools.lru_cache(maxsize=16)
+def _mfcc_constants(mel_cfg, sample_rate, n_fft_bins):
+    """The (filterbank, DCT) matrices `extract_mfcc` applies, built once
+    per process for each key and returned read-only, since every caller
+    shares them."""
+    first_row = 0 if mel_cfg.include_c0 else 1
+    mats = (mel_filterbank(mel_cfg, sample_rate, n_fft_bins),
+            dct_matrix(mel_cfg.n_ceps, mel_cfg.n_filters, first_row))
+    for mat in mats:
+        mat.flags.writeable = False
+    return mats
+
+
 def extract_mfcc(clip, frame_cfg, mel_cfg):
     """Run the full front-end on one clip.
 
@@ -177,11 +190,9 @@ def extract_mfcc(clip, frame_cfg, mel_cfg):
     """
     frames = frame_signal(clip, frame_cfg)
     mags = fft_magnitude(hamming_window(frames))
-    fbank = mel_filterbank(mel_cfg, clip.sample_rate, mags.shape[-1])
+    fbank, dct = _mfcc_constants(mel_cfg, clip.sample_rate, mags.shape[-1])
     energies = mags @ fbank.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    first_row = 0 if mel_cfg.include_c0 else 1
-    dct = dct_matrix(mel_cfg.n_ceps, mel_cfg.n_filters, first_row)
     return MfccMatrix(coeffs=(log_energies @ dct.T).T,
                       frame_config=frame_cfg, mel_config=mel_cfg)
 

@@ -171,8 +171,17 @@ class C3dBiLstm:
         return arrays
 
     def load_state(self, arrays):
-        """Restore state_arrays(); every name and shape is checked first."""
-        for name, current in self.state_arrays().items():
+        """Restore state_arrays(); every name and shape is checked first.
+
+        An array this network does not have (one of another architecture,
+        or optimizer moments) raises ConfigError, as a missing one does.
+        """
+        expected = self.state_arrays()
+        unknown = sorted(set(arrays) - set(expected))
+        if unknown:
+            raise ConfigError(f"checkpoint holds arrays this network does "
+                              f"not have: {', '.join(unknown)}")
+        for name, current in expected.items():
             if name not in arrays:
                 raise ConfigError(f"checkpoint is missing array {name!r}")
             if np.shape(arrays[name]) != current.shape:

@@ -20,7 +20,8 @@ from . import gmm as gmm_mod
 from . import mfcc as mfcc_mod
 from . import model as model_mod
 from .audio import map_jobs, read_manifest, read_wav, synth_corpus
-from .errors import ConfigError, DataError, DependencyError, FormatError
+from .errors import (CacheError, ConfigError, DataError, DependencyError,
+                     FormatError, ShapeError)
 from .mfcc import FrameConfig, MelConfig
 from .model import ArchitectureConfig, GmmConfig, TrainConfig
 from .nn import load_checkpoint, save_checkpoint
@@ -219,20 +220,31 @@ def _sidecar(path):
 
 
 def _fresh(path, digest):
-    """True when path exists and its sidecar holds digest; an unreadable
-    sidecar reads as stale, so the stage rebuilds."""
+    """True when path exists and its sidecar holds digest. An undecodable
+    sidecar reads as stale, so the stage rebuilds; one that cannot be read
+    at all (a directory, say) raises CacheError, even beside a missing
+    output, so the stage fails before its work and not at `_mark`."""
     path = Path(path)
     side = _sidecar(path)
-    if not (path.exists() and side.exists()):
+    if not side.exists():
         return False
     try:
-        return side.read_text(encoding="utf-8").strip() == digest
+        text = side.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         return False
+    except OSError as exc:
+        raise CacheError(f"cannot read hash sidecar {side} "
+                         f"({exc.strerror or exc})") from exc
+    return path.exists() and text.strip() == digest
 
 
 def _mark(path, digest):
-    _sidecar(path).write_text(digest + "\n")
+    side = _sidecar(path)
+    try:
+        side.write_text(digest + "\n")
+    except OSError as exc:
+        raise CacheError(f"cannot write hash sidecar {side} "
+                         f"({exc.strerror or exc})") from exc
 
 
 def _file_digest(path):
@@ -384,18 +396,24 @@ def _feature_set(cfg, manifest, split):
     return list(zip(tensors, model_mod.label_indices(manifest, entries)))
 
 
-def _arch_text(arch, labels):
-    """arch.txt: the input dims and labels a checkpoint was trained on."""
+def _arch_text(arch, labels, arch_section):
+    """arch.txt: the input dims, labels and `arch.*` section a checkpoint
+    was trained with."""
     m, g, t = arch.input_dims
     return (f"input_dims = {m}/{g}/{t}\nn_classes = {arch.n_classes}\n"
-            f"labels = {','.join(labels)}\n")
+            f"labels = {','.join(labels)}\n{arch_section}\n")
+
+
+def _key_values(text):
+    return dict(line.split(" = ", 1) for line in text.splitlines())
 
 
 def _read_arch(path):
-    """(input_dims, labels) of an arch.txt written by `_arch_text`."""
+    """(input_dims, labels, {arch.* key: rendered value}) of an arch.txt
+    written by `_arch_text`. A record written before the `arch.*` lines
+    were added yields an empty dict."""
     try:
-        fields = dict(line.split(" = ", 1) for line in
-                      path.read_text(encoding="utf-8").splitlines())
+        fields = _key_values(path.read_text(encoding="utf-8"))
         dims = tuple(int(v) for v in fields["input_dims"].split("/"))
         n_classes = int(fields["n_classes"])
         labels = fields["labels"].split(",")
@@ -404,7 +422,8 @@ def _read_arch(path):
     if len(dims) != 3 or n_classes != len(labels):
         raise FormatError(f"{path}: input_dims needs three extents and "
                           f"n_classes must count the labels")
-    return dims, labels
+    return dims, labels, {k: v for k, v in fields.items()
+                          if k.startswith("arch.")}
 
 
 def _write_metrics(out_dir, metrics, log):
@@ -436,7 +455,8 @@ def stage_train(cfg, log=print):
     lines += [f"{h['epoch']},{h['lr']},{h['loss']},{h['train_acc']}"
               for h in history]
     (out.parent / "history.csv").write_text("\n".join(lines) + "\n")
-    (out.parent / "arch.txt").write_text(_arch_text(arch, label_order))
+    (out.parent / "arch.txt").write_text(
+        _arch_text(arch, label_order, cfg.section_text("arch")))
     _mark(out, digest)
     log(f"train: {len(history)} epochs, final loss {history[-1]['loss']:.4f}, "
         f"train accuracy {history[-1]['train_acc']:.4f}")
@@ -449,12 +469,21 @@ def stage_eval(cfg, log=print):
 
     The test tensors and the manifest's labels must match the arch.txt
     that `train` wrote with the checkpoint; they are checked before any
-    network is built.
+    network is built, and so is the `arch.*` section it recorded against
+    the config's: a flipped `arch.attention` changes no array, so only
+    the record shows it. The checkpoint must then fit the network array
+    for array.
     """
     manifest = _require_manifest(cfg)
     ckpt, arch_path = _require([cfg.workdir / "model" / "model.ckpt",
                                 cfg.workdir / "model" / "arch.txt"], "train")
-    input_dims, label_order = _read_arch(arch_path)
+    input_dims, label_order, trained_arch = _read_arch(arch_path)
+    current_arch = _key_values(cfg.section_text("arch"))
+    changed = [f"{key} = {value}" for key, value in trained_arch.items()
+               if current_arch.get(key) != value]
+    if changed:
+        raise DataError(f"checkpoint was trained with {', '.join(changed)}, "
+                        f"which the config no longer says; rerun `train`")
     if label_order != manifest.device_ids():
         raise DataError(f"checkpoint labels {','.join(label_order)} differ "
                         f"from the manifest's "
@@ -468,7 +497,11 @@ def stage_eval(cfg, log=print):
     arch = ArchitectureConfig(input_dims, len(label_order),
                               **cfg.arch_kwargs())
     net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
-    net.load_state(load_checkpoint(ckpt))
+    try:
+        net.load_state(load_checkpoint(ckpt))
+    except (ConfigError, ShapeError) as exc:
+        raise DataError(f"{ckpt} does not fit the configured network "
+                        f"({exc}); rerun `train`") from exc
     metrics = model_mod.evaluate(net, test_set, label_order=label_order)
     _write_metrics(cfg.workdir / "eval", metrics, log)
     log(f"eval: accuracy {metrics.accuracy:.4f}")

@@ -134,6 +134,28 @@ def test_harmonic_sum_matches_direct_loop(n_harm):
     assert np.max(np.abs(got - direct)) <= 1e-9
 
 
+@pytest.mark.parametrize("freq", [0.2, 0.5, 1.0, 3.0, 7.0])
+@pytest.mark.parametrize("n", [64000, 63993])
+def test_tone_matches_sine(freq, n):
+    # oracle: one np.sin per sample over 4 s at 16 kHz, the tones' range
+    t = np.arange(n) / 16000
+    for offset in (0.0, 2.5, 2 * np.pi - 1e-3):
+        got = audio._tone(freq, offset, n, 16000)
+        assert got.shape == (n,)
+        want = np.sin(2 * np.pi * freq * t + offset)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_synth_source_tones_match_sine(monkeypatch):
+    # the tones' error, carried through the pitch track's cumulative phase
+    # and 24 harmonics, stays far below a 16-bit step (3e-5)
+    fast = audio.synth_source(4.0, 16000, [101, 0, 0, 0]).samples
+    monkeypatch.setattr(audio, "_tone", lambda freq, offset, n, sr: np.sin(
+        2 * np.pi * freq * (np.arange(n) / sr) + offset))
+    plain = audio.synth_source(4.0, 16000, [101, 0, 0, 0]).samples
+    assert np.max(np.abs(fast - plain)) <= 1e-9
+
+
 def test_apply_channel_identity():
     clip = audio.synth_source(0.5, 16000, 1)
     profile = audio.DeviceProfile("d", np.array([1.0]), 0.0)

@@ -6,8 +6,8 @@ import pytest
 
 from deviceprint import audio, gmm, mfcc, model, pipeline
 from deviceprint.cli import main
-from deviceprint.errors import (ConfigError, DataError, DependencyError,
-                                FormatError)
+from deviceprint.errors import (CacheError, ConfigError, DataError,
+                                DependencyError, FormatError, ShapeError)
 
 TINY = """
 corpus.devices = 3
@@ -269,6 +269,22 @@ def test_sgmm_jobs_match_sequential(tiny_cfg):
     assert snapshot() == sequential
 
 
+def test_mfcc_jobs_match_sequential(tiny_cfg):
+    # each pool worker builds its own filterbank and DCT cache
+    pipeline.stage_synth(tiny_cfg, log=lambda *a: None)
+    mfcc_dir = tiny_cfg.workdir / "mfcc"
+
+    def snapshot():
+        return {f.name: f.read_bytes() for f in sorted(mfcc_dir.iterdir())}
+
+    pipeline.stage_mfcc(tiny_cfg, jobs=1, log=lambda *a: None)
+    sequential = snapshot()
+    assert len(sequential) == 18 * 2  # cepstra and .hash per clip
+    shutil.rmtree(mfcc_dir)
+    pipeline.stage_mfcc(tiny_cfg, jobs=2, log=lambda *a: None)
+    assert snapshot() == sequential
+
+
 def test_cli_train_ubm_rejects_zero_em_iters(tmp_path, capsys):
     cfg = pipeline.parse_config_text(TINY)
     cfg.set("gmm.em_iters", 0)
@@ -315,6 +331,33 @@ def test_undecodable_hash_sidecar_rebuilds(tiny_cfg, capsys):
     pipeline.stage_synth(tiny_cfg)
     assert "wrote 18 clips" in capsys.readouterr().out
     assert pipeline._fresh(manifest, digest)
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["fresh", "built"])
+def test_cli_reports_unusable_hash_sidecar(tmp_path, capsys, built):
+    # a directory in the sidecar's place: the stage fails before its work
+    cfg = pipeline.parse_config_text(TINY)
+    cfg.set("corpus.clips", 2)
+    cfg.set("corpus.clip_seconds", 0.5)
+    path = _cfg_file(tmp_path, cfg)
+    work = tmp_path / "w"
+    side = work / "corpus" / "manifest.tsv.hash"
+    if built:
+        assert main(["synth", "--config", path, "--workdir", str(work)]) == 0
+        side.unlink()
+    side.mkdir(parents=True)
+    stamps = {f: f.stat().st_mtime_ns for f in work.rglob("*.wav")}
+    capsys.readouterr()
+    assert main(["synth", "--config", path, "--workdir", str(work)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [synth]: ") and str(side) in err
+    assert {f: f.stat().st_mtime_ns for f in work.rglob("*.wav")} == stamps
+
+
+def test_mark_reports_unwritable_sidecar(tmp_path):
+    (tmp_path / "out.bin.hash").mkdir()
+    with pytest.raises(CacheError, match="out.bin.hash"):
+        pipeline._mark(tmp_path / "out.bin", "digest")
 
 
 # --- eval reads the test split and checks the checkpoint's arch.txt ----------
@@ -408,3 +451,31 @@ def test_cli_eval_reports_stale_checkpoint(trained_cfg, tmp_path, capsys):
     assert main(["eval", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error [eval]: ") and "train" in err
+
+
+@pytest.mark.parametrize("key, value", [("arch.attention", False),
+                                        ("arch.hidden", 16)])
+def test_eval_rejects_checkpoint_of_another_network(trained_cfg, monkeypatch,
+                                                    key, value):
+    # arch.txt records the arch.* section; attention has no arrays, so
+    # only that record shows a flip
+    trained_cfg.set(key, value)
+    monkeypatch.setattr(model, "build_model", _no_build)
+    with pytest.raises(DataError, match=key) as caught:
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    assert str(caught.value).endswith("rerun `train`")
+    assert not (trained_cfg.workdir / "eval").exists()
+
+
+def test_eval_rejects_checkpoint_that_does_not_fit(trained_cfg):
+    # a record without the arch.* lines leaves the check to load_state
+    arch = trained_cfg.workdir / "model" / "arch.txt"
+    arch.write_text("".join(line + "\n" for line in
+                            arch.read_text().splitlines()
+                            if not line.startswith("arch.")))
+    trained_cfg.set("arch.hidden", 16)
+    with pytest.raises(DataError) as caught:
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    assert str(caught.value).endswith("rerun `train`")
+    assert isinstance(caught.value.__cause__, ShapeError)
+    assert not (trained_cfg.workdir / "eval").exists()

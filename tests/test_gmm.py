@@ -63,6 +63,30 @@ def test_em_preconditions():
         gmm.em_fit(np.zeros((2, 10)), 2, max_iters=0)
 
 
+def test_em_buffered_posteriors_match_unbuffered(monkeypatch):
+    # every posterior pass of the EM loop, run in its reused buffers, equals
+    # a fresh unbuffered pass bit for bit
+    rng = np.random.default_rng(16)
+    frames = np.hstack([rng.standard_normal((3, 150)) + c
+                        for c in (-4.0, 0.0, 5.0)])
+    plain = gmm._posteriors
+    checked = []
+
+    def compare(model, x, x2=None, bufs=None):
+        want_resp, want_ll = plain(model, x)
+        resp, ll = plain(model, x, x2, bufs)
+        assert bufs is not None and resp is bufs[0]
+        assert np.array_equal(x2, x ** 2)
+        assert ll == want_ll and np.array_equal(resp, want_resp)
+        checked.append(ll)
+        return resp, ll
+
+    monkeypatch.setattr(gmm, "_posteriors", compare)
+    fit = gmm.em_fit(frames, 5, max_iters=8, tol=-np.inf, seed=1)
+    assert len(checked) == fit.diagnostics["iterations"] == 8
+    assert checked == fit.diagnostics["log_likelihoods"]
+
+
 def test_em_seed_deterministic():
     rng = np.random.default_rng(3)
     frames = rng.standard_normal((4, 200))
@@ -265,6 +289,35 @@ def test_sgmm_segment_permutation_equivariance():
     permuted = gmm.extract_sgmm(
         ubm, _mfcc(np.hstack([blocks[i] for i in perm])), 5, 4.0)
     assert np.array_equal(permuted.data, base.data[:, :, perm])
+
+
+@pytest.mark.parametrize("relevance", [0.0, 4.0])
+def test_sgmm_matches_per_segment_map_oracle(relevance):
+    # oracle: map_adapt_means per segment, transposed and normalized, then
+    # stacked; component 5 sits so far away that no segment touches it
+    rng = np.random.default_rng(15)
+    base = _random_gmm(rng, 6, 4)
+    means = base.means.copy()
+    means[5] = 50.0
+    ubm = gmm.DiagGmm(base.weights, means, base.variances)
+    mat = _mfcc(rng.standard_normal((4, 37)))
+    resp, _ = gmm._posteriors(ubm, mat.coeffs.T)
+    assert np.all(resp[:, 5] == 0.0)
+    want = np.stack([gmm.minmax_normalize(
+        gmm.map_adapt_means(ubm, segment, relevance).T)
+        for segment in gmm.segment_frames(mat, 6).segments], axis=2)
+    got = gmm.extract_sgmm(ubm, mat, 6, relevance)
+    assert got.data.shape == (4, 6, 6)
+    assert np.array_equal(got.data, want)
+
+
+def test_sgmm_rejects_bad_relevance_and_dims():
+    rng = np.random.default_rng(17)
+    ubm = _random_gmm(rng, 3, 4)
+    with pytest.raises(ConfigError):
+        gmm.extract_sgmm(ubm, _mfcc(rng.standard_normal((4, 20))), 5, -1.0)
+    with pytest.raises(ShapeError):
+        gmm.extract_sgmm(ubm, _mfcc(rng.standard_normal((3, 20))), 5, 4.0)
 
 
 # --- serialization -----------------------------------------------------------

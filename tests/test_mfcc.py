@@ -34,6 +34,15 @@ def test_frame_signal_table_geometry():
     assert frames.shape[0] == 28
 
 
+def test_frame_signal_is_read_only_view():
+    clip = _clip(np.arange(1000.0))
+    frames = mfcc.frame_signal(clip, mfcc.FrameConfig(16, 4))
+    assert np.shares_memory(frames, clip.samples)
+    assert not frames.flags.writeable
+    with pytest.raises(ValueError):
+        frames[0, 0] = 1.0
+
+
 def test_frame_signal_too_short():
     with pytest.raises(TooShortError):
         mfcc.frame_signal(_clip(np.zeros(100)), mfcc.FrameConfig(256, 64))
@@ -145,6 +154,36 @@ def test_extract_stagewise_oracle():
     logs = np.log(np.maximum(fbank @ mag, 1e-10))
     want = scipy_dct(logs, type=2, norm="ortho")[:12]
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_extract_matches_composed_stages_through_cache():
+    # two mel configs at two sample rates, alternating through the cache of
+    # filterbank and DCT matrices: each result equals the public stages
+    # composed by hand, bit for bit
+    rng = np.random.default_rng(4)
+    frame_cfg = mfcc.FrameConfig(32, 16)
+    configs = [mfcc.MelConfig(26, 0.0, 4000.0, 12),
+               mfcc.MelConfig(20, 300.0, 3800.0, 10, include_c0=False)]
+    mfcc._mfcc_constants.cache_clear()
+    for _ in range(2):
+        for sr in (8000, 16000):
+            for cfg in configs:
+                clip = _clip(rng.standard_normal(sr // 4), sr)
+                mags = mfcc.fft_magnitude(mfcc.hamming_window(
+                    mfcc.frame_signal(clip, frame_cfg)))
+                fbank = mfcc.mel_filterbank(cfg, sr, mags.shape[-1])
+                dct = mfcc.dct_matrix(cfg.n_ceps, cfg.n_filters,
+                                      0 if cfg.include_c0 else 1)
+                logs = np.log(np.maximum(mags @ fbank.T, mfcc.LOG_FLOOR))
+                got = mfcc.extract_mfcc(clip, frame_cfg, cfg).coeffs
+                assert np.array_equal(got, (logs @ dct.T).T)
+                cached = mfcc._mfcc_constants(cfg, sr, mags.shape[-1])
+                for mat in cached:
+                    assert not mat.flags.writeable
+                    with pytest.raises(ValueError):
+                        mat[0, 0] = 1.0
+    info = mfcc._mfcc_constants.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
 
 
 def test_dct_isometry():

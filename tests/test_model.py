@@ -396,6 +396,7 @@ def test_checkpoint_restores_model():
     ("bn1.running_mean", None, ConfigError),
     ("fc.b", None, ConfigError),
     ("bn2.running_var", np.ones(3), ShapeError),
+    ("fc.w.m", np.ones(3), ConfigError),  # an array the network lacks
 ])
 def test_load_state_checks_before_mutating(name, value, error):
     arch = model.ArchitectureConfig(input_dims=(12, 8, 4), n_classes=2)

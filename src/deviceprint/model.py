@@ -3,7 +3,8 @@
 The flow is one function per step: `clip_mfcc` (a clip's checked cepstra),
 `train_ubm`, `extract_sgmm` and `fit_architecture` (tensors to network
 config). `recognize` composes them in memory, and the `pipeline` stages
-call the same ones behind their disk cache. The recognition network stacks a pointwise channel-expansion conv, two
+call the same ones behind their disk cache. The recognition network stacks
+a pointwise channel-expansion conv (folded into the first conv), two
 conv/batch-norm/ReLU/max-pool blocks and an average pool over the spatial
 axes of each time step, flattens per step, and feeds the sequence to a
 bidirectional peephole LSTM with self-attention, mean temporal pooling and
@@ -20,8 +21,9 @@ from .audio import read_wav
 from .errors import ConfigError, DataError, ShapeError
 from .gmm import em_fit, extract_sgmm
 from .nn import (AdamState, AvgPool3d, BatchNorm3d, BiLstm, Conv3d, Dense,
-                 FlattenPerStep, MaxPool3d, MeanOverTime, ParamStore, ReLU,
-                 SelfAttention, adam_step, softmax_cross_entropy)
+                 ExpandedConv3d, FlattenPerStep, MaxPool3d, MeanOverTime,
+                 ParamStore, PointwiseExpansion, ReLU, SelfAttention,
+                 adam_step, softmax_cross_entropy)
 
 
 # maxpool1, maxpool2 and the average pool: none spans time, each halves the
@@ -109,9 +111,9 @@ class C3dBiLstm:
         c0, c1, c2 = arch.channels
         kt = arch.kernel_t
         pad = (kt // 2, 1, 1)
-        self.pw = Conv3d(self.params, "pw", 1, c0, (1, 1, 1), rng=rng)
-        self.conv1 = Conv3d(self.params, "conv1", c0, c1, (kt, 3, 3),
-                            padding=pad, rng=rng)
+        self.pw = PointwiseExpansion(self.params, "pw", c0, rng=rng)
+        self.conv1 = ExpandedConv3d(self.params, "conv1", self.pw, c1,
+                                    (kt, 3, 3), padding=pad, rng=rng)
         self.bn1 = BatchNorm3d(self.params, "bn1", c1)
         self.conv2 = Conv3d(self.params, "conv2", c1, c2, (kt, 3, 3),
                             padding=pad, rng=rng)
@@ -135,6 +137,11 @@ class C3dBiLstm:
     def forward(self, x, train=False):
         """Logits for a [B, 1, T, M, G] batch.
 
+        The pointwise expansion (the `pw` slot, layers[0]) is skipped:
+        conv1 applies it inside its own correlation of the 1-channel input,
+        which is exact only while nothing nonlinear sits between the two,
+        so no 8-channel activation is made.
+
         train=True uses batch statistics in batch norm and keeps each
         layer's backward state. train=False is inference: batch norm uses
         its running statistics, no layer keeps anything activation-sized,
@@ -146,7 +153,7 @@ class C3dBiLstm:
         if x.shape[1:] != (1, t, m, g):
             raise ShapeError(f"expected input [B, 1, {t}, {m}, {g}], "
                              f"got {x.shape}")
-        for layer in self.layers:
+        for layer in self.layers[1:]:
             x = layer.forward(x, train=train)
         return x
 
@@ -154,13 +161,13 @@ class C3dBiLstm:
         """Accumulate every parameter's gradient from dL/dlogits.
 
         Nothing reads the gradient with respect to the network input, so
-        the first layer, the pointwise conv, computes its parameter
-        gradients only, and nothing is returned.
+        conv1, which also holds the pointwise expansion, computes the
+        parameter gradients of both and no input gradient; the `pw` slot
+        is skipped, and nothing is returned.
         """
         grad = grad_logits
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        self.pw._accumulate_param_grads(grad)
 
     def state_arrays(self):
         """Trainable parameters plus batch-norm running statistics."""

@@ -3,7 +3,8 @@
 from .adam import AdamState, adam_step
 from .attention import (SelfAttention, self_attention_backward,
                         self_attention_forward)
-from .conv import (AvgPool3d, Conv3d, MaxPool3d, avgpool3d, avgpool3d_backward,
+from .conv import (AvgPool3d, Conv3d, ExpandedConv3d, MaxPool3d,
+                   PointwiseExpansion, avgpool3d, avgpool3d_backward,
                    conv3d_backward, conv3d_forward, maxpool3d,
                    maxpool3d_backward)
 from .layers import (BatchNorm3d, Dense, FlattenPerStep, MeanOverTime, ReLU,
@@ -15,7 +16,8 @@ from .recurrent import BiLstm, LstmParams, lstm_step
 __all__ = [
     "AdamState", "adam_step",
     "SelfAttention", "self_attention_forward", "self_attention_backward",
-    "AvgPool3d", "Conv3d", "MaxPool3d", "avgpool3d", "avgpool3d_backward",
+    "AvgPool3d", "Conv3d", "ExpandedConv3d", "MaxPool3d", "PointwiseExpansion",
+    "avgpool3d", "avgpool3d_backward",
     "conv3d_backward", "conv3d_forward", "maxpool3d", "maxpool3d_backward",
     "BatchNorm3d", "Dense", "FlattenPerStep", "MeanOverTime", "ReLU",
     "softmax_cross_entropy",

@@ -13,6 +13,18 @@ matrix and runs as one batched channel matmul. The input gradient is the
 same correlation run on the stride-dilated output gradient with the
 flipped, channel-swapped kernel.
 
+A 1->C pointwise expansion followed by a conv, with nothing nonlinear
+between them, is one linear map of the 1-channel input. ExpandedConv3d
+runs the pair as one correlation of that input with the expansion folded
+into the kernel, plus a border map that carries the expansion's bias
+where the padding zeros are not biased. Its patch matrices have C times
+fewer rows, no C-channel activation exists in either direction, and as
+the network's first layer it computes parameter gradients only. The fold
+would be wrong with an activation or normalization between the two;
+PointwiseExpansion then holds the expansion's parameters and passes its
+argument through. Conv3d and conv3d_forward/conv3d_backward are the
+oracle the fold is tested against.
+
 Pools are non-overlapping (stride must equal the window) and combine the
 window's offset slabs elementwise. The max-pool layer keeps its output and
 routes the gradient against those maxima instead of pooling again.
@@ -261,6 +273,110 @@ class Conv3d:
         self.w.grad += _kernel_grad(grad_out, xp, self.w.value.shape,
                                     self.stride)
         self.b.grad += grad_out.sum(axis=(0, 2, 3, 4))
+
+
+class PointwiseExpansion:
+    """The kernel [C, 1, 1, 1, 1] and bias [C] of a 1->C pointwise conv
+    that ExpandedConv3d applies as part of its own correlation.
+
+    forward and backward pass their argument through unchanged, so a
+    layer list holding this slot still composes to the network;
+    C3dBiLstm skips the slot in both directions.
+    """
+
+    def __init__(self, store, name, c_out, rng):
+        self.w = store.add(f"{name}.w",
+                           uniform_fanin(rng, (c_out, 1, 1, 1, 1), 1))
+        self.b = store.add(f"{name}.b", np.zeros(c_out))
+
+    def forward(self, x, train=False):
+        return x
+
+    def backward(self, grad_out):
+        return grad_out
+
+
+def _padded_ones(spatial, padding):
+    """[1, 1, *spatial] ones, zero-padded: where a padded input is real."""
+    return _pad5(np.ones((1, 1) + tuple(spatial)), padding)
+
+
+class ExpandedConv3d:
+    """A stride-1 zero-padded conv of a PointwiseExpansion's output, run
+    on the expansion's 1-channel input.
+
+    With nothing nonlinear between them, the pair is one linear map of the
+    raw input x: padding the expansion's output pads pw.w[c] * x with zeros
+    and adds pw.b[c] only where the padded input is real. So the output is
+    x's padded correlation with Kx[o] = sum_c pw.w[c] * w[o, c], plus the
+    padded ones-indicator's correlation with Kb[o] = sum_c pw.b[c] * w[o, c]
+    (one map shared by the batch), plus b. The patch matrices have kT*kH*kW
+    rows instead of C times that, and no C-channel activation is made.
+
+    backward takes dKx from x's patches and dKb from the batch-summed
+    gradient's, and chains both into the four parameter gradients. It
+    computes no input gradient and returns None: the layer is first in the
+    network, and nothing reads the network input's gradient. A train-mode
+    forward keeps the padded input only; an inference forward keeps nothing.
+    """
+
+    def __init__(self, store, name, expansion, c_out, kernel, padding, rng):
+        self.expansion = expansion
+        self.kernel = tuple(kernel)
+        c_in = expansion.b.value.size
+        fan_in = c_in * int(np.prod(self.kernel))
+        self.w = store.add(f"{name}.w", uniform_fanin(
+            rng, (c_out, c_in) + self.kernel, fan_in))
+        self.b = store.add(f"{name}.b", np.zeros(c_out))
+        self.padding = _triple(padding)
+        self._xp = None
+
+    def _expansion_rows(self):
+        """[2, C]: the expansion's kernel and bias, the rows Kx and Kb fold."""
+        return np.stack([self.expansion.w.value.reshape(-1),
+                         self.expansion.b.value])
+
+    def _w_rows(self):
+        """w as [C_out, C, kT*kH*kW]."""
+        return self.w.value.reshape(self.w.value.shape[:2] + (-1,))
+
+    def forward(self, x, train=False):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 5 or x.shape[1] != 1:
+            raise ShapeError(f"expected a 1-channel 5-D input, got {x.shape}")
+        for n, k, p in zip(x.shape[2:], self.kernel, self.padding):
+            _out_extent(n, k, 1, p)
+        # [C_out, 2, K]: Kx and Kb, each a 1-channel kernel
+        folded = (self._expansion_rows() @ self._w_rows()).reshape(
+            (len(self.b.value), 2) + self.kernel)
+        xp = _pad5(x, self.padding)
+        out = _correlate(xp, folded[:, :1], (1, 1, 1))
+        border = _correlate(_padded_ones(x.shape[2:], self.padding),
+                            folded[:, 1:], (1, 1, 1))
+        border += self.b.value.reshape(1, -1, 1, 1, 1)
+        out += border
+        self._xp = xp if train else None
+        return out
+
+    def backward(self, grad_out):
+        """Accumulate the expansion's and this conv's parameter gradients."""
+        grad_out = np.asarray(grad_out, dtype=np.float64)
+        xp = forward_state(self._xp, self)
+        spatial = tuple(n - 2 * p for n, p in zip(xp.shape[2:], self.padding))
+        shape = (len(self.b.value), 1) + self.kernel
+        grad_sum = grad_out.sum(axis=0, keepdims=True)
+        # [C_out, 2, K]: dKx and dKb
+        grad_folded = np.concatenate([
+            _kernel_grad(grad_out, xp, shape, (1, 1, 1)),
+            _kernel_grad(grad_sum, _padded_ones(spatial, self.padding),
+                         shape, (1, 1, 1))], axis=1).reshape(shape[0], 2, -1)
+        rows = self._expansion_rows()
+        self.w.grad += (rows.T @ grad_folded).reshape(self.w.value.shape)
+        grad_rows = np.tensordot(grad_folded, self._w_rows(), ((0, 2), (0, 2)))
+        self.expansion.w.grad += grad_rows[0].reshape(
+            self.expansion.w.value.shape)
+        self.expansion.b.grad += grad_rows[1]
+        self.b.grad += grad_sum.sum(axis=(0, 2, 3, 4))
 
 
 class _Pool3d:

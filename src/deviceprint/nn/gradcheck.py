@@ -8,7 +8,8 @@ gradients against (f(x+h) - f(x-h)) / 2h elementwise.
 import numpy as np
 
 from .attention import SelfAttention
-from .conv import AvgPool3d, Conv3d, MaxPool3d
+from .conv import (AvgPool3d, Conv3d, ExpandedConv3d, MaxPool3d,
+                   PointwiseExpansion)
 from .layers import BatchNorm3d, Dense, ReLU, softmax_cross_entropy
 from .params import ParamStore
 from .recurrent import BiLstm, LstmParams, _run_direction, _run_direction_backward
@@ -38,7 +39,8 @@ def rel_error(analytic, numeric):
 
 
 def _check_layer(layer, x, param_list, train=True, rng=None):
-    """Max rel. error over input and parameter gradients of one layer."""
+    """Max rel. error over input and parameter gradients of one layer; a
+    layer whose backward returns None has parameter gradients only."""
     rng = rng if rng is not None else np.random.default_rng(0)
     probe = rng.standard_normal(layer.forward(x, train=train).shape)
 
@@ -49,7 +51,8 @@ def _check_layer(layer, x, param_list, train=True, rng=None):
         p.zero_grad()
     layer.forward(x, train=train)
     grad_x = layer.backward(probe)
-    errs = [rel_error(grad_x, numerical_grad(loss, x))]
+    errs = [] if grad_x is None else [rel_error(grad_x,
+                                                numerical_grad(loss, x))]
     for p in param_list:
         errs.append(rel_error(p.grad, numerical_grad(loss, p.value)))
     return max(errs)
@@ -81,6 +84,20 @@ def check_pointwise_conv(seed=0):
     layer = Conv3d(store, "pw", 2, 4, (1, 1, 1), rng=rng)
     x = rng.standard_normal((2, 2, 3, 3, 3))
     return _check_layer(layer, x, [layer.w, layer.b], rng=rng)
+
+
+def check_expanded_conv3d(seed=0):
+    # a pointwise expansion folded into a 3x3x3 conv with padding on every
+    # axis: the nonzero expansion bias reaches the output only inside the
+    # padded border map
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    pw = PointwiseExpansion(store, "pw", 3, rng)
+    layer = ExpandedConv3d(store, "conv", pw, 2, (3, 3, 3), padding=1, rng=rng)
+    pw.b.value[:] = rng.uniform(-0.5, 0.5, 3)
+    layer.b.value[:] = rng.uniform(-0.5, 0.5, 2)
+    x = rng.standard_normal((2, 1, 3, 4, 3))
+    return _check_layer(layer, x, [pw.w, pw.b, layer.w, layer.b], rng=rng)
 
 
 def check_batchnorm3d(seed=0):
@@ -194,6 +211,7 @@ ALL_CHECKS = [
     ("conv3d", check_conv3d),
     ("conv3d_strided", check_conv3d_strided),
     ("pointwise_conv", check_pointwise_conv),
+    ("expanded_conv3d", check_expanded_conv3d),
     ("batchnorm3d_train", check_batchnorm3d),
     ("batchnorm3d_eval", check_batchnorm3d_eval),
     ("maxpool3d", check_maxpool3d),

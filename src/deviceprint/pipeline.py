@@ -426,6 +426,14 @@ def _read_arch(path):
                           if k.startswith("arch.")}
 
 
+def _arch_record(path):
+    """`_read_arch` of path, or None when it is missing or unreadable."""
+    try:
+        return _read_arch(path)
+    except (OSError, FormatError):
+        return None
+
+
 def _write_metrics(out_dir, metrics, log):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.txt").write_text(metrics.report() + "\n")
@@ -435,16 +443,36 @@ def _write_metrics(out_dir, metrics, log):
 
 
 def stage_train(cfg, log=print):
+    """Train and checkpoint the network, unless the checkpoint's digest
+    (the `arch.*` and `train.*` sections and the train tensors' bytes)
+    still holds.
+
+    An up-to-date checkpoint whose arch.txt is missing, unreadable or does
+    not record the current `arch.*` section gets its arch.txt rewritten
+    from the train split's shapes, the labels and that section, all of
+    which the digest vouches for, without training again. A record that
+    names other labels retrains: the digest does not cover the labels.
+    """
     manifest = _require_manifest(cfg)
     train_files = _clip_files(cfg, manifest.for_split("train"), "sgmm")
-    digest = _digest(cfg.section_text("arch"), cfg.section_text("train"),
+    arch_section = cfg.section_text("arch")
+    digest = _digest(arch_section, cfg.section_text("train"),
                      *[_file_digest(path) for path in train_files])
     out = cfg.workdir / "model" / "model.ckpt"
-    if _fresh(out, digest):
+    arch_path = out.parent / "arch.txt"
+    label_order = manifest.device_ids()
+    fresh = _fresh(out, digest)
+    record = _arch_record(arch_path) if fresh else None
+    if fresh and (record is None or record[1] == label_order):
         log(f"train: up to date ({out})")
+        if record is None or record[2] != _key_values(arch_section):
+            arch = model_mod.fit_architecture(
+                _feature_set(cfg, manifest, "train"), len(label_order),
+                **cfg.arch_kwargs())
+            arch_path.write_text(_arch_text(arch, label_order, arch_section))
+            log(f"train: rewrote {arch_path}")
         return out
     train_set = _feature_set(cfg, manifest, "train")
-    label_order = manifest.device_ids()
     arch = model_mod.fit_architecture(train_set, len(label_order),
                                       **cfg.arch_kwargs())
     net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
@@ -455,8 +483,7 @@ def stage_train(cfg, log=print):
     lines += [f"{h['epoch']},{h['lr']},{h['loss']},{h['train_acc']}"
               for h in history]
     (out.parent / "history.csv").write_text("\n".join(lines) + "\n")
-    (out.parent / "arch.txt").write_text(
-        _arch_text(arch, label_order, cfg.section_text("arch")))
+    arch_path.write_text(_arch_text(arch, label_order, arch_section))
     _mark(out, digest)
     log(f"train: {len(history)} epochs, final loss {history[-1]['loss']:.4f}, "
         f"train accuracy {history[-1]['train_acc']:.4f}")

@@ -479,3 +479,72 @@ def test_eval_rejects_checkpoint_that_does_not_fit(trained_cfg):
     assert str(caught.value).endswith("rerun `train`")
     assert isinstance(caught.value.__cause__, ShapeError)
     assert not (trained_cfg.workdir / "eval").exists()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("an up-to-date train stage did this work")
+
+
+def _strip_arch_lines(path):
+    path.write_text("".join(line + "\n" for line in path.read_text()
+                            .splitlines() if not line.startswith("arch.")))
+
+
+def test_up_to_date_train_restores_arch_record(trained_cfg, monkeypatch):
+    # an arch.txt written before it recorded the arch.* section would
+    # otherwise keep eval's check off for good; train rewrites it from
+    # what its digest covers, without training again
+    model_dir = trained_cfg.workdir / "model"
+    arch = model_dir / "arch.txt"
+    want = arch.read_text()
+    kept = {name: (model_dir / name).read_bytes()
+            for name in ("model.ckpt", "history.csv")}
+    _strip_arch_lines(arch)
+    monkeypatch.setattr(model, "train", _forbidden)
+    lines = []
+    pipeline.stage_train(trained_cfg, log=lines.append)
+    assert lines[0].startswith("train: up to date")
+    assert arch.read_text() == want
+    assert all((model_dir / name).read_bytes() == data
+               for name, data in kept.items())
+    trained_cfg.set("arch.attention", False)
+    monkeypatch.setattr(model, "build_model", _no_build)
+    with pytest.raises(DataError, match="arch.attention") as caught:
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    assert str(caught.value).endswith("rerun `train`")
+
+
+@pytest.mark.parametrize("edit", ["unlink", "garble"])
+def test_up_to_date_train_rewrites_unusable_arch_record(trained_cfg,
+                                                        monkeypatch, edit):
+    arch = trained_cfg.workdir / "model" / "arch.txt"
+    want = arch.read_text()
+    if edit == "unlink":
+        arch.unlink()
+    else:
+        arch.write_bytes(b"\xff\xfe")
+    monkeypatch.setattr(model, "train", _forbidden)
+    pipeline.stage_train(trained_cfg, log=lambda *a: None)
+    assert arch.read_text() == want
+
+
+def test_up_to_date_train_leaves_a_current_arch_record(trained_cfg,
+                                                       monkeypatch):
+    monkeypatch.setattr(pipeline, "_feature_set", _forbidden)
+    lines = []
+    pipeline.stage_train(trained_cfg, log=lines.append)
+    assert lines == [f"train: up to date "
+                     f"({trained_cfg.workdir / 'model' / 'model.ckpt'})"]
+
+
+def test_train_retrains_when_the_record_names_other_labels(trained_cfg):
+    # the digest does not cover the labels, so a record of other labels
+    # cannot be vouched for by it
+    arch = trained_cfg.workdir / "model" / "arch.txt"
+    want = arch.read_text()
+    arch.write_text(want.replace("device00", "device09"))
+    lines = []
+    pipeline.stage_train(trained_cfg, log=lines.append)
+    assert lines[0].startswith("train: 3 epochs")
+    assert arch.read_text() == want
+    pipeline.stage_eval(trained_cfg, log=lambda *a: None)

@@ -7,7 +7,8 @@ from deviceprint import audio, mfcc, model
 from deviceprint.errors import (ConfigError, DataError, DependencyError,
                                ShapeError)
 from deviceprint.gmm import SgmmTensor
-from deviceprint.nn import AdamState, BiLstm, adam_step
+from deviceprint.nn import (AdamState, BatchNorm3d, BiLstm, Conv3d, Dense,
+                            ParamStore, adam_step)
 
 
 def _tensor(rng, dims=(12, 8, 4)):
@@ -73,6 +74,59 @@ def test_inference_forward_holds_one_activation_at_a_time():
     assert logits.shape == (50, 5)
     assert peak < 64 * 2**20
     assert held < 2**20
+
+
+def test_inference_conv1_makes_no_eight_channel_activation():
+    # pw then conv1 at the evaluation shape: conv1's 16-channel output is
+    # 23.4 MiB and one 8-channel activation 11.7 MiB. Expanding first and
+    # then correlating peaked at 51.4 MiB; the folded conv1 correlates the
+    # 1-channel input and peaks at 26.0 MiB
+    arch = model.ArchitectureConfig(input_dims=(12, 64, 5), n_classes=5)
+    net = model.build_model(arch, seed=0)
+    x = np.random.default_rng(3).uniform(0, 1, (50, 1, 5, 12, 64))
+    out_bytes = 50 * 16 * 5 * 12 * 64 * 8
+    tracemalloc.start()
+    try:
+        for layer in net.layers[:2]:
+            x = layer.forward(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (50, 16, 5, 12, 64)
+    assert peak < out_bytes + 6.5 * 2**20
+
+
+def _unfolded_draws(arch, seed):
+    """state_arrays() of a network whose pw and conv1 are two Conv3d
+    layers, drawn in the network's parameter order."""
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    c0, c1, c2 = arch.channels
+    kt = arch.kernel_t
+    Conv3d(store, "pw", 1, c0, (1, 1, 1), rng=rng)
+    Conv3d(store, "conv1", c0, c1, (kt, 3, 3), rng=rng)
+    BatchNorm3d(store, "bn1", c1)
+    Conv3d(store, "conv2", c1, c2, (kt, 3, 3), rng=rng)
+    BatchNorm3d(store, "bn2", c2)
+    BiLstm(store, "bilstm", arch.flatten_size(), arch.hidden, rng=rng)
+    Dense(store, "fc", 2 * arch.hidden, arch.n_classes, rng=rng)
+    arrays = {name: p.value for name, p in store.items()}
+    for name, channels in (("bn1", c1), ("bn2", c2)):
+        arrays[f"{name}.running_mean"] = np.zeros(channels)
+        arrays[f"{name}.running_var"] = np.ones(channels)
+    return arrays
+
+
+@pytest.mark.parametrize("kernel_t", [1, 3])
+def test_build_model_draws_the_unfolded_parameters(kernel_t):
+    # checkpoints of the unfolded network load unchanged and a fresh
+    # network is bit-identical to it
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=5,
+                                    kernel_t=kernel_t)
+    got = model.build_model(arch, seed=9).state_arrays()
+    want = _unfolded_draws(arch, 9)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
 def test_backward_after_inference_forward_raises():

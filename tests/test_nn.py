@@ -170,10 +170,47 @@ def test_model_backward_gives_pointwise_conv_parameter_gradients():
     assert np.any(net.pw.w.grad != 0.0)
 
 
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("g", [8, 64])
+@pytest.mark.parametrize("kt", [1, 3])
+@pytest.mark.parametrize("train", [True, False])
+def test_expanded_conv3d_matches_pointwise_then_conv(g, kt, train):
+    # conv1 of the model with the pointwise expansion folded in, against
+    # the two functional convs it replaces; the nonzero expansion bias is
+    # what the padded border map carries
+    rng = np.random.default_rng(kt * g)
+    store = nn.ParamStore()
+    pw = nn.PointwiseExpansion(store, "pw", 8, rng)
+    pad = (kt // 2, 1, 1)
+    layer = nn.ExpandedConv3d(store, "conv1", pw, 16, (kt, 3, 3),
+                              padding=pad, rng=rng)
+    pw.b.value[:] = rng.uniform(-1, 1, 8)
+    layer.b.value[:] = rng.uniform(-1, 1, 16)
+    x = rng.standard_normal((16, 1, 5, 12, g))
+    mid = nn.conv3d_forward(x, pw.w.value, pw.b.value)
+    out = layer.forward(x, train=train)
+    assert _rel(out, nn.conv3d_forward(mid, layer.w.value, layer.b.value,
+                                       padding=pad)) < 1e-12
+    if not train:
+        return
+    grad_out = rng.standard_normal(out.shape)
+    assert layer.backward(grad_out) is None
+    grad_mid, want_w, want_b = nn.conv3d_backward(grad_out, mid,
+                                                  layer.w.value, padding=pad)
+    _, want_pw_w, want_pw_b = nn.conv3d_backward(grad_mid, x, pw.w.value)
+    for got, want in ((layer.w.grad, want_w), (layer.b.grad, want_b),
+                      (pw.w.grad, want_pw_w), (pw.b.grad, want_pw_b)):
+        assert _rel(got, want) < 1e-12
+
+
 def test_conv3d_finite_difference():
     assert gradcheck.check_conv3d(seed=0) < 1e-6
     assert gradcheck.check_conv3d_strided(seed=0) < 1e-6
     assert gradcheck.check_pointwise_conv(seed=0) < 1e-6
+    assert gradcheck.check_expanded_conv3d(seed=0) < 1e-6
 
 
 # --- batch norm ---------------------------------------------------------------
@@ -490,6 +527,9 @@ def _stateful_layers():
     cases = [
         (nn.Conv3d(store, "conv", 2, 3, (1, 3, 3), padding=(0, 1, 1), rng=rng),
          (2, 2, 2, 4, 4)),
+        (nn.ExpandedConv3d(store, "conv1",
+                           nn.PointwiseExpansion(store, "pw", 2, rng), 3,
+                           (3, 3, 3), padding=1, rng=rng), (2, 1, 2, 4, 4)),
         (nn.ReLU(), (2, 3, 4)),
         (nn.MaxPool3d((1, 2, 2)), (2, 2, 1, 4, 4)),
         (nn.AvgPool3d((1, 2, 2)), (2, 2, 1, 4, 4)),

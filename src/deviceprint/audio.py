@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigError, FormatError, UnsupportedFormatError
 
 MANIFEST_HEADER_PREFIX = "#sgmm-manifest v1"
@@ -182,7 +183,7 @@ def wav_bytes(clip):
 
 
 def write_wav(path, clip):
-    Path(path).write_bytes(wav_bytes(clip))
+    write_atomic(path, wav_bytes(clip))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +455,7 @@ def synth_corpus(n_devices, clips_per_device, train_fraction, sample_rate,
     entries = []
     for plan, payload in zip(plans, rendered):
         _, device_id, _, split, name = plan
-        (out_dir / name).write_bytes(payload)
+        write_atomic(out_dir / name, payload)
         entries.append(ManifestEntry(path=name, device_id=device_id, split=split))
 
     manifest = CorpusManifest(entries=entries, sample_rate=sample_rate,
@@ -495,7 +496,7 @@ def write_manifest(manifest, path):
              f"seed={manifest.seed}"]
     for e in manifest.entries:
         lines.append(f"{e.path}\t{e.device_id}\t{e.split}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_manifest(path):

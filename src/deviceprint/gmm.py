@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigError, DataError, FormatError, ShapeError, TooShortError
 
 GMM_MAGIC = b"DGMM1"
@@ -377,7 +378,7 @@ def save_gmm(path, gmm):
     payload = GMM_MAGIC + struct.pack("<ii", g, m)
     for arr in (gmm.weights, gmm.means, gmm.variances):
         payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    Path(path).write_bytes(payload)
+    write_atomic(path, payload)
 
 
 def load_gmm(path):
@@ -402,10 +403,10 @@ def save_sgmm(path, tensor):
     payload = SGMM_MAGIC + struct.pack("<iii", m, g, t)
     payload += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
     path = Path(path)
-    path.write_bytes(payload)
-    meta = (f"G={tensor.n_components} t={tensor.seg_frames} "
-            f"r={tensor.relevance} norm={tensor.norm_rule}\n")
-    path.with_suffix(path.suffix + ".meta").write_text(meta, encoding="utf-8")
+    write_atomic(path, payload)
+    write_atomic(path.with_suffix(path.suffix + ".meta"),
+                 f"G={tensor.n_components} t={tensor.seg_frames} "
+                 f"r={tensor.relevance} norm={tensor.norm_rule}\n")
 
 
 def load_sgmm(path):

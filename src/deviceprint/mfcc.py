@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigError, FormatError, ShapeError, TooShortError
 
 LOG_FLOOR = 1e-10
@@ -205,7 +206,7 @@ def save_mfcc(path, mfcc):
     m, n = mfcc.coeffs.shape
     payload = MFCC_MAGIC + struct.pack("<ii", m, n)
     payload += np.ascontiguousarray(mfcc.coeffs, dtype="<f8").tobytes()
-    Path(path).write_bytes(payload)
+    write_atomic(path, payload)
 
 
 def load_mfcc(path, frame_cfg=None, mel_cfg=None):

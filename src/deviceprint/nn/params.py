@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..errors import ConfigError, DependencyError, FormatError
 
 CHECKPOINT_MAGIC = b"STRL1"
@@ -78,7 +79,7 @@ def save_checkpoint(path, arrays):
         chunks.append(struct.pack("<i", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}i", *arr.shape))
         chunks.append(np.ascontiguousarray(arr).tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path):

@@ -1,10 +1,13 @@
 """Disk-staged pipeline: declarative config, content-hash gated stages.
 
-Each stage is a thin cache around the per-step functions of `model`, the
-ones `model.recognize` composes in memory. It names its outputs
-deterministically, records a sidecar hash of its inputs, and skips work
-when the hash matches, so reruns are no-ops and two runs from one seed
-produce byte-identical artifacts. File I/O stays in this module.
+`STAGES` declares each cached stage once, a thin cache around the per-step
+functions that `model.recognize` composes in memory, and `_run` runs it.
+A unit is skipped when its `.hash` sidecar holds the digest of its inputs'
+bytes and the config lines of its stage and every stage upstream, so
+reruns are no-ops and one seed gives byte-identical artifacts. Writes:
+every artifact goes to a temp file that `os.replace` moves into place; a
+unit's sidecar is unlinked just before its outputs are replaced and is
+written after them; the stage record, which later stages check, is last.
 
 Every library default lives in the dataclass that uses it; the schema
 entries that feed one read their default from it.
@@ -13,12 +16,14 @@ entries that feed one read their default from it.
 import dataclasses
 import hashlib
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import gmm as gmm_mod
 from . import mfcc as mfcc_mod
 from . import model as model_mod
+from .atomic import write_atomic
 from .audio import map_jobs, read_manifest, read_wav, synth_corpus
 from .errors import (CacheError, ConfigError, DataError, DependencyError,
                      FormatError, ShapeError)
@@ -72,39 +77,26 @@ CONFIG_SCHEMA = {
 }
 
 
-def _parse_value(kind, text):
-    text = text.strip()
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "bool":
-        if text.lower() in ("true", "yes", "1"):
-            return True
-        if text.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"expected a boolean, got {text!r}")
-    if kind == "intlist":
-        return tuple(int(v) for v in text.split("/"))
-    if kind == "pairlist":
-        pairs = []
-        for item in text.split(","):
-            lo, hi = item.split(":")
-            pairs.append((float(lo), float(hi)))
-        return tuple(pairs)
-    return text
+def _parse_bool(text):
+    if text.lower() in ("true", "yes", "1"):
+        return True
+    if text.lower() in ("false", "no", "0"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _render_value(kind, value):
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "intlist":
-        return "/".join(str(v) for v in value)
-    if kind == "pairlist":
-        return ",".join(f"{lo:g}:{hi:g}" for lo, hi in value)
-    if kind == "float":
-        return f"{value:g}"
-    return str(value)
+# type tag -> (parse stripped text, render value)
+_KINDS = {
+    "int": (int, str),
+    "float": (float, "{:g}".format),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "intlist": (lambda text: tuple(int(v) for v in text.split("/")),
+                lambda v: "/".join(str(x) for x in v)),
+    "pairlist": (lambda text: tuple((float(lo), float(hi)) for lo, hi in (
+        item.split(":") for item in text.split(","))),
+                 lambda v: ",".join(f"{lo:g}:{hi:g}" for lo, hi in v)),
+    "str": (str, str),
+}
 
 
 class PipelineConfig:
@@ -127,21 +119,14 @@ class PipelineConfig:
         self.values[key] = value
 
     def canonical_text(self):
-        lines = ["# pipeline configuration"]
-        section = None
-        for key, (kind, *_) in CONFIG_SCHEMA.items():
-            sec = key.split(".")[0]
-            if sec != section:
-                lines.append("")
-                section = sec
-            lines.append(f"{key} = {_render_value(kind, self.values[key])}")
-        return "\n".join(lines) + "\n"
+        sections = dict.fromkeys(key.split(".")[0] for key in CONFIG_SCHEMA)
+        return "# pipeline configuration\n" + "".join(
+            f"\n{self.section_text(s)}\n" for s in sections)
 
     def section_text(self, section):
-        keys = [k for k in CONFIG_SCHEMA if k.startswith(section + ".")]
-        return "\n".join(
-            f"{k} = {_render_value(CONFIG_SCHEMA[k][0], self.values[k])}"
-            for k in keys)
+        return "\n".join(f"{k} = {_KINDS[kind][1](self.values[k])}"
+                         for k, (kind, *_) in CONFIG_SCHEMA.items()
+                         if k.startswith(section + "."))
 
     # typed views consumed by the library layer
     def _fields(self, cls):
@@ -183,7 +168,7 @@ def parse_config_text(text):
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = _parse_value(CONFIG_SCHEMA[key][0], value)
+            values[key] = _KINDS[CONFIG_SCHEMA[key][0]][0](value.strip())
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
     return PipelineConfig(values)
@@ -203,82 +188,116 @@ def load_config(path=None):
 
 
 # ---------------------------------------------------------------------------
-# Content-hash staging
+# Content-hash staging: one runner over the STAGES table
 # ---------------------------------------------------------------------------
 
 def _digest(*chunks):
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk if isinstance(chunk, bytes) else str(chunk).encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+    return hashlib.sha256("\0".join(map(str, chunks)).encode()).hexdigest()
 
 
 def _sidecar(path):
-    path = Path(path)
     return path.with_suffix(path.suffix + ".hash")
 
 
-def _fresh(path, digest):
-    """True when path exists and its sidecar holds digest. An undecodable
-    sidecar reads as stale, so the stage rebuilds; one that cannot be read
-    at all (a directory, say) raises CacheError, even beside a missing
-    output, so the stage fails before its work and not at `_mark`."""
-    path = Path(path)
-    side = _sidecar(path)
-    if not side.exists():
-        return False
+def _read_cache(side):
+    """Text of a `.hash` sidecar: None, which reads as stale, when it is
+    missing or undecodable; CacheError when it cannot be read at all."""
     try:
-        text = side.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        return False
+        return side.read_text(encoding="utf-8")
+    except (FileNotFoundError, UnicodeDecodeError):
+        return None
     except OSError as exc:
         raise CacheError(f"cannot read hash sidecar {side} "
                          f"({exc.strerror or exc})") from exc
-    return path.exists() and text.strip() == digest
+
+
+def _fresh(path, digest):
+    """True when path exists and its sidecar, read first, holds digest."""
+    text = _read_cache(_sidecar(path))
+    return text is not None and text.strip() == digest and path.exists()
 
 
 def _mark(path, digest):
     side = _sidecar(path)
     try:
-        side.write_text(digest + "\n")
+        write_atomic(side, digest + "\n")
     except OSError as exc:
         raise CacheError(f"cannot write hash sidecar {side} "
                          f"({exc.strerror or exc})") from exc
 
 
-def _file_digest(path):
-    return _digest(Path(path).read_bytes())
+class _Stage(NamedTuple):
+    sections: tuple  # config sections its step reads
+    upstream: str    # the stage whose outputs it reads
+    outputs: tuple   # paths under the workdir; "{stem}" makes them per clip
+    inputs: object   # (cfg, manifest) -> per unit, a tuple of files or text
+    step: object     # (cfg, manifest, pending, jobs, log) -> yields once
+                     # per pending unit, in order, after writing its outputs
 
 
-# ---------------------------------------------------------------------------
-# Stages
-# ---------------------------------------------------------------------------
+def _chain(name):
+    """Stage `name` and every stage upstream of it, first stage first."""
+    upstream = STAGES[name].upstream
+    return (_chain(upstream) if upstream else []) + [name]
 
-def stage_synth(cfg, jobs=1, log=print):
-    out_dir = cfg.workdir / "corpus"
-    manifest_path = out_dir / "manifest.tsv"
-    digest = _digest(cfg.section_text("corpus"))
-    if _fresh(manifest_path, digest):
-        log(f"synth: up to date ({manifest_path})")
-        return manifest_path
-    manifest = synth_corpus(cfg.get("corpus.devices"),
-                            cfg.get("corpus.clips"),
-                            cfg.get("corpus.train_fraction"),
-                            cfg.get("corpus.sample_rate"),
-                            cfg.get("corpus.seed"),
-                            out_dir,
-                            clip_seconds=cfg.get("corpus.clip_seconds"),
-                            noise_level=cfg.get("corpus.noise_level"),
-                            jobs=jobs)
-    _mark(manifest_path, digest)
-    log(f"synth: wrote {len(manifest.entries)} clips to {out_dir}")
-    counts = Counter((e.device_id, e.split) for e in manifest.entries)
-    for device in manifest.device_ids():
-        log(f"  {device}: {counts[device, 'train']} train / "
-            f"{counts[device, 'test']} test")
-    log(f"synth: manifest {manifest_path}")
-    return manifest_path
+
+def _record(cfg, name):
+    """(output directory, record: the sections of `name`'s chain)."""
+    sections = dict.fromkeys(s for n in _chain(name)
+                             for s in STAGES[n].sections)
+    return ((cfg.workdir / STAGES[name].outputs[0]).parent,
+            "\n".join(cfg.section_text(s) for s in sections))
+
+
+def _require_stage(cfg, name):
+    """Raise DependencyError unless `name`'s chain has current records."""
+    for stage in _chain(name):
+        out_dir, current = _record(cfg, stage)
+        recorded = _read_cache(_sidecar(out_dir))
+        if recorded is None or recorded.strip() != current:
+            changed = [line for line in current.splitlines()
+                       if recorded and line not in recorded.splitlines()]
+            raise DependencyError(
+                f"`{stage}` has not completed in {cfg.workdir} under "
+                f"{', '.join(changed) or 'this config'}; run `{stage}`")
+
+
+def _run(cfg, name, log, jobs=1):
+    """Bring stage `name` up to date, as the module docstring sets out; a
+    per-clip unit's outputs are named after its last input. Returns a
+    per-clip stage's manifest, else its one unit's first output."""
+    stage, manifest = STAGES[name], None
+    if stage.upstream:
+        _require_stage(cfg, stage.upstream)
+        manifest = _require_manifest(cfg)
+    out_dir, text = _record(cfg, name)
+    recorded = _fresh(out_dir, text)
+    per_clip = "{stem}" in stage.outputs[0]
+    units = [(tuple(cfg.workdir / (out.format(stem=ins[-1].stem) if per_clip
+                                   else out) for out in stage.outputs), ins)
+             for ins in stage.inputs(cfg, manifest)]
+    content = cache(lambda x: x if isinstance(x, str) else hashlib.sha256(
+        _require([x], stage.upstream)[0].read_bytes()).hexdigest())
+    digests = {outs[0]: _digest(text, *map(content, ins))
+               for outs, ins in units}
+    pending = [(outs, ins) for outs, ins in units if not (
+        _fresh(outs[0], digests[outs[0]]) and all(map(Path.exists, outs)))]
+    if pending:
+        _sidecar(out_dir).unlink(missing_ok=True)
+        steps = stage.step(cfg, manifest, pending, jobs, log)
+        for outs, _ in pending:
+            _sidecar(outs[0]).unlink(missing_ok=True)
+            next(steps)
+            _mark(outs[0], digests[outs[0]])
+        next(steps, None)
+    if per_clip:
+        log(f"{name}: {len(pending)} extracted, {len(units) - len(pending)} "
+            f"up to date ({len(units)} clips)")
+    elif not pending:
+        log(f"{name}: up to date ({units[0][0][0]})")
+    if pending or not recorded:
+        _mark(out_dir, text)
+    return manifest if per_clip else units[0][0][0]
 
 
 def _require(paths, stage):
@@ -300,108 +319,11 @@ def _clip_files(cfg, entries, kind):
                      for e in entries], kind)
 
 
-def _cached_per_clip(cfg, kind, sources, key, job, save, jobs, log):
-    """The cache loop of the per-clip stages.
-
-    A clip's output, named after its source under workdir/kind, is up to
-    date when its sidecar holds the digest of key plus the source bytes.
-    The other sources go through map_jobs(job, ...) and each result is
-    saved and marked, in clip order.
-    """
-    out_dir = cfg.workdir / kind
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pending = []
-    for src in sources:
-        out = out_dir / (src.stem + "." + kind)
-        digest = _digest(*key, _file_digest(src))
-        if not _fresh(out, digest):
-            pending.append((src, out, digest))
-    results = map_jobs(job, [src for src, _, _ in pending], jobs)
-    for (_, out, digest), result in zip(pending, results):
-        save(out, result)
-        _mark(out, digest)
-    log(f"{kind}: {len(pending)} extracted, "
-        f"{len(sources) - len(pending)} up to date ({len(sources)} clips)")
-
-
-# module-level jobs, so they can cross a process pool boundary
-def _mfcc_job(wav_path, sample_rate, frame_cfg, mel_cfg):
-    return model_mod.clip_mfcc(wav_path, read_wav(wav_path), sample_rate,
-                               frame_cfg, mel_cfg)
-
-
-def _sgmm_job(mfcc_path, ubm, gmm_cfg):
-    return gmm_mod.extract_sgmm(ubm, mfcc_mod.load_mfcc(mfcc_path),
-                                gmm_cfg.seg_frames, gmm_cfg.relevance)
-
-
-def stage_mfcc(cfg, jobs=1, log=print):
-    manifest = _require_manifest(cfg)
-    wavs = _require([manifest.resolve(e) for e in manifest.entries], "synth")
-    job = partial(_mfcc_job, sample_rate=manifest.sample_rate,
-                  frame_cfg=cfg.frame_config(), mel_cfg=cfg.mel_config())
-    _cached_per_clip(cfg, "mfcc", wavs, (cfg.section_text("dsp"),), job,
-                     mfcc_mod.save_mfcc, jobs, log)
-    return manifest
-
-
-def _load_stage_mfcc(cfg, entries):
-    return [mfcc_mod.load_mfcc(path, cfg.frame_config(), cfg.mel_config())
-            for path in _clip_files(cfg, entries, "mfcc")]
-
-
-def stage_train_ubm(cfg, log=print):
-    manifest = _require_manifest(cfg)
-    train_entries = manifest.for_split("train")
-    digest = _digest(cfg.section_text("gmm"),
-                     *[_file_digest(path) for path in
-                       _clip_files(cfg, train_entries, "mfcc")],
-                     len(train_entries))
-    out = cfg.workdir / "ubm" / "ubm.dgmm"
-    if _fresh(out, digest):
-        log(f"train-ubm: up to date ({out})")
-        return out
-    feats = _load_stage_mfcc(cfg, train_entries)
-    gmm_cfg = cfg.gmm_config()
-    ubm = model_mod.train_ubm(feats, gmm_cfg)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    gmm_mod.save_gmm(out, ubm)
-    _mark(out, digest)
-    diag = ubm.diagnostics
-    n_frames = sum(f.n_frames for f in feats)
-    log(f"train-ubm: G={gmm_cfg.n_components} on {n_frames} frames, "
-        f"{diag['iterations']} iterations, "
-        f"final log-likelihood/frame {diag['log_likelihoods'][-1] / n_frames:.4f}")
-    for i, ll in enumerate(diag["log_likelihoods"], start=1):
-        log(f"  iter {i}: total log-likelihood {ll:.2f}")
-    return out
-
-
-def stage_sgmm(cfg, jobs=1, log=print):
-    manifest = _require_manifest(cfg)
-    ubm_path = _require([cfg.workdir / "ubm" / "ubm.dgmm"], "train-ubm")[0]
-    job = partial(_sgmm_job, ubm=gmm_mod.load_gmm(ubm_path),
-                  gmm_cfg=cfg.gmm_config())
-    _cached_per_clip(cfg, "sgmm", _clip_files(cfg, manifest.entries, "mfcc"),
-                     (cfg.section_text("gmm"), _file_digest(ubm_path)), job,
-                     gmm_mod.save_sgmm, jobs, log)
-    return manifest
-
-
 def _feature_set(cfg, manifest, split):
     """(tensor, label) pairs of one split, from the sgmm stage."""
     entries = manifest.for_split(split)
-    tensors = [gmm_mod.load_sgmm(path)
-               for path in _clip_files(cfg, entries, "sgmm")]
+    tensors = map(gmm_mod.load_sgmm, _clip_files(cfg, entries, "sgmm"))
     return list(zip(tensors, model_mod.label_indices(manifest, entries)))
-
-
-def _arch_text(arch, labels, arch_section):
-    """arch.txt: the input dims, labels and `arch.*` section a checkpoint
-    was trained with."""
-    m, g, t = arch.input_dims
-    return (f"input_dims = {m}/{g}/{t}\nn_classes = {arch.n_classes}\n"
-            f"labels = {','.join(labels)}\n{arch_section}\n")
 
 
 def _key_values(text):
@@ -410,8 +332,7 @@ def _key_values(text):
 
 def _read_arch(path):
     """(input_dims, labels, {arch.* key: rendered value}) of an arch.txt
-    written by `_arch_text`. A record written before the `arch.*` lines
-    were added yields an empty dict."""
+    written by `train`; one without the `arch.*` lines yields {}."""
     try:
         fields = _key_values(path.read_text(encoding="utf-8"))
         dims = tuple(int(v) for v in fields["input_dims"].split("/"))
@@ -426,69 +347,144 @@ def _read_arch(path):
                           if k.startswith("arch.")}
 
 
-def _arch_record(path):
-    """`_read_arch` of path, or None when it is missing or unreadable."""
-    try:
-        return _read_arch(path)
-    except (OSError, FormatError):
-        return None
-
-
 def _write_metrics(out_dir, metrics, log):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.txt").write_text(metrics.report() + "\n")
-    (out_dir / "metrics.kv").write_text(metrics.kv_records() + "\n")
-    (out_dir / "confusion.csv").write_text(metrics.confusion_csv() + "\n")
+    write_atomic(out_dir / "metrics.txt", metrics.report() + "\n")
+    write_atomic(out_dir / "metrics.kv", metrics.kv_records() + "\n")
+    write_atomic(out_dir / "confusion.csv", metrics.confusion_csv() + "\n")
     log(metrics.report())
 
 
-def stage_train(cfg, log=print):
-    """Train and checkpoint the network, unless the checkpoint's digest
-    (the `arch.*` and `train.*` sections and the train tensors' bytes)
-    still holds.
+def _synth_step(cfg, manifest, pending, jobs, log):
+    (path,), _ = pending[0]
+    manifest = synth_corpus(
+        *map(cfg.get, ("corpus.devices", "corpus.clips",
+                       "corpus.train_fraction", "corpus.sample_rate",
+                       "corpus.seed")), path.parent,
+        clip_seconds=cfg.get("corpus.clip_seconds"),
+        noise_level=cfg.get("corpus.noise_level"), jobs=jobs)
+    yield
+    log(f"synth: wrote {len(manifest.entries)} clips to {path.parent}")
+    counts = Counter((e.device_id, e.split) for e in manifest.entries)
+    for device in manifest.device_ids():
+        log(f"  {device}: {counts[device, 'train']} train / "
+            f"{counts[device, 'test']} test")
+    log(f"synth: manifest {path}")
 
-    An up-to-date checkpoint whose arch.txt is missing, unreadable or does
-    not record the current `arch.*` section gets its arch.txt rewritten
-    from the train split's shapes, the labels and that section, all of
-    which the digest vouches for, without training again. A record that
-    names other labels retrains: the digest does not cover the labels.
-    """
-    manifest = _require_manifest(cfg)
-    train_files = _clip_files(cfg, manifest.for_split("train"), "sgmm")
-    arch_section = cfg.section_text("arch")
-    digest = _digest(arch_section, cfg.section_text("train"),
-                     *[_file_digest(path) for path in train_files])
-    out = cfg.workdir / "model" / "model.ckpt"
-    arch_path = out.parent / "arch.txt"
-    label_order = manifest.device_ids()
-    fresh = _fresh(out, digest)
-    record = _arch_record(arch_path) if fresh else None
-    if fresh and (record is None or record[1] == label_order):
-        log(f"train: up to date ({out})")
-        if record is None or record[2] != _key_values(arch_section):
-            arch = model_mod.fit_architecture(
-                _feature_set(cfg, manifest, "train"), len(label_order),
-                **cfg.arch_kwargs())
-            arch_path.write_text(_arch_text(arch, label_order, arch_section))
-            log(f"train: rewrote {arch_path}")
-        return out
+
+# module-level jobs, so they can cross a process pool boundary
+def _mfcc_job(wav_path, sample_rate, frame_cfg, mel_cfg):
+    return model_mod.clip_mfcc(wav_path, read_wav(wav_path), sample_rate,
+                               frame_cfg, mel_cfg)
+
+
+def _sgmm_job(mfcc_path, ubm, gmm_cfg):
+    return gmm_mod.extract_sgmm(ubm, mfcc_mod.load_mfcc(mfcc_path),
+                                gmm_cfg.seg_frames, gmm_cfg.relevance)
+
+
+def _mfcc_step(cfg, manifest, pending, jobs, log):
+    job = partial(_mfcc_job, sample_rate=manifest.sample_rate,
+                  frame_cfg=cfg.frame_config(), mel_cfg=cfg.mel_config())
+    cepstra = map_jobs(job, [wav for _, (wav,) in pending], jobs)
+    for ((path,), _), result in zip(pending, cepstra):
+        mfcc_mod.save_mfcc(path, result)
+        yield
+
+
+def _ubm_step(cfg, manifest, pending, jobs, log):
+    (ubm_path,), mfcc_paths = pending[0]
+    feats = [mfcc_mod.load_mfcc(path, cfg.frame_config(), cfg.mel_config())
+             for path in mfcc_paths]
+    gmm_cfg = cfg.gmm_config()
+    ubm = model_mod.train_ubm(feats, gmm_cfg)
+    gmm_mod.save_gmm(ubm_path, ubm)
+    yield
+    diag = ubm.diagnostics
+    n_frames = sum(f.n_frames for f in feats)
+    log(f"train-ubm: G={gmm_cfg.n_components} on {n_frames} frames, "
+        f"{diag['iterations']} iterations, "
+        f"final log-likelihood/frame {diag['log_likelihoods'][-1] / n_frames:.4f}")
+    for i, ll in enumerate(diag["log_likelihoods"], start=1):
+        log(f"  iter {i}: total log-likelihood {ll:.2f}")
+
+
+def _sgmm_step(cfg, manifest, pending, jobs, log):
+    _, (ubm_path, _) = pending[0]
+    job = partial(_sgmm_job, ubm=gmm_mod.load_gmm(ubm_path),
+                  gmm_cfg=cfg.gmm_config())
+    tensors = map_jobs(job, [src for _, (_, src) in pending], jobs)
+    for ((path, _), _), result in zip(pending, tensors):
+        gmm_mod.save_sgmm(path, result)
+        yield
+
+
+def _train_step(cfg, manifest, pending, jobs, log):
+    (ckpt, arch_path, history_path), _ = pending[0]
     train_set = _feature_set(cfg, manifest, "train")
-    arch = model_mod.fit_architecture(train_set, len(label_order),
+    labels = manifest.device_ids()
+    arch = model_mod.fit_architecture(train_set, len(labels),
                                       **cfg.arch_kwargs())
     net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
     history = model_mod.train(net, train_set, cfg.train_config())
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, net.state_arrays())
-    lines = ["epoch,lr,loss,train_acc"]
-    lines += [f"{h['epoch']},{h['lr']},{h['loss']},{h['train_acc']}"
-              for h in history]
-    (out.parent / "history.csv").write_text("\n".join(lines) + "\n")
-    arch_path.write_text(_arch_text(arch, label_order, arch_section))
-    _mark(out, digest)
+    save_checkpoint(ckpt, net.state_arrays())
+    write_atomic(history_path, "epoch,lr,loss,train_acc\n" + "".join(
+        f"{h['epoch']},{h['lr']},{h['loss']},{h['train_acc']}\n"
+        for h in history))
+    m, g, t = arch.input_dims
+    write_atomic(arch_path, f"input_dims = {m}/{g}/{t}\n"
+                 f"n_classes = {arch.n_classes}\nlabels = {','.join(labels)}\n"
+                 f"{cfg.section_text('arch')}\n")
+    yield
     log(f"train: {len(history)} epochs, final loss {history[-1]['loss']:.4f}, "
         f"train accuracy {history[-1]['train_acc']:.4f}")
-    log(f"train: checkpoint {out}")
-    return out
+    log(f"train: checkpoint {ckpt}")
+
+
+STAGES = {
+    "synth": _Stage(("corpus",), None, ("corpus/manifest.tsv",),
+                    lambda cfg, manifest: [()], _synth_step),
+    "mfcc": _Stage(("dsp",), "synth", ("mfcc/{stem}.mfcc",),
+                   lambda cfg, manifest: [(manifest.resolve(e),)
+                                          for e in manifest.entries],
+                   _mfcc_step),
+    "train-ubm": _Stage(("gmm",), "mfcc", ("ubm/ubm.dgmm",),
+                        lambda cfg, manifest: [tuple(_clip_files(
+                            cfg, manifest.for_split("train"), "mfcc"))],
+                        _ubm_step),
+    "sgmm": _Stage(("gmm",), "train-ubm",
+                   ("sgmm/{stem}.sgmm", "sgmm/{stem}.sgmm.meta"),
+                   lambda cfg, manifest: [
+                       (cfg.workdir / "ubm" / "ubm.dgmm", src)
+                       for src in _clip_files(cfg, manifest.entries, "mfcc")],
+                   _sgmm_step),
+    # arch.txt records the labels, so they are an input of train
+    "train": _Stage(("arch", "train"), "sgmm",
+                    ("model/model.ckpt", "model/arch.txt", "model/history.csv"),
+                    lambda cfg, manifest: [(
+                        ",".join(manifest.device_ids()),
+                        *_clip_files(cfg, manifest.for_split("train"), "sgmm"))],
+                    _train_step),
+}
+
+
+def stage_synth(cfg, jobs=1, log=print):
+    return _run(cfg, "synth", log, jobs)
+
+
+def stage_mfcc(cfg, jobs=1, log=print):
+    return _run(cfg, "mfcc", log, jobs)
+
+
+def stage_train_ubm(cfg, log=print):
+    return _run(cfg, "train-ubm", log)
+
+
+def stage_sgmm(cfg, jobs=1, log=print):
+    return _run(cfg, "sgmm", log, jobs)
+
+
+def stage_train(cfg, log=print):
+    return _run(cfg, "train", log)
 
 
 def stage_eval(cfg, log=print):
@@ -541,20 +537,21 @@ def stage_ablate(cfg, log=print):
     mel_cfgs = [dataclasses.replace(cfg.mel_config(), f_low=lo, f_high=hi)
                 for lo, hi in cfg.get("ablate.band_grid")]
     rows = model_mod.ablate_frontend(frame_cfgs, mel_cfgs, manifest)
-    out_dir = cfg.workdir / "ablate"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_lines = ["frame_len_ms,frame_shift_ms,f_low,f_high,accuracy"]
-    csv_lines += [f"{r['frame_len_ms']},{r['frame_shift_ms']},{r['f_low']},"
-                  f"{r['f_high']},{r['accuracy']}" for r in rows]
-    (out_dir / "ablate.csv").write_text("\n".join(csv_lines) + "\n")
+    header = "frame_len_ms,frame_shift_ms,f_low,f_high,accuracy\n"
+    write_atomic(cfg.workdir / "ablate" / "ablate.csv", header + "".join(
+        f"{r['frame_len_ms']},{r['frame_shift_ms']},{r['f_low']},"
+        f"{r['f_high']},{r['accuracy']}\n" for r in rows))
     log(model_mod.format_ablation_table(rows))
     return rows
 
 
 def stage_small_sample(cfg, n_train, log=print):
+    _require_stage(cfg, "mfcc")
     manifest = _require_manifest(cfg)
-    mfccs = dict(zip((e.path for e in manifest.entries),
-                     _load_stage_mfcc(cfg, manifest.entries)))
+    paths = _clip_files(cfg, manifest.entries, "mfcc")
+    mfccs = {e.path: mfcc_mod.load_mfcc(path, cfg.frame_config(),
+                                        cfg.mel_config())
+             for e, path in zip(manifest.entries, paths)}
     result = model_mod.recognize(
         manifest, mfccs, cfg.gmm_config(), cfg.train_config(),
         *model_mod.small_sample_split(manifest, n_train, cfg.get("train.seed")),

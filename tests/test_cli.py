@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deviceprint import audio, gmm, mfcc, model, pipeline
+from deviceprint import atomic, audio, gmm, mfcc, model, pipeline
 from deviceprint.cli import main
 from deviceprint.errors import (CacheError, ConfigError, DataError,
                                 DependencyError, FormatError, ShapeError)
@@ -320,28 +320,40 @@ def test_config_unreadable(tmp_path, capsys, name):
     assert not (tmp_path / "w").exists()
 
 
-def test_undecodable_hash_sidecar_rebuilds(tiny_cfg, capsys):
+# a stage's record is the `.hash` sidecar of its output directory: synth's
+# vouches for corpus/ as a whole, the manifest's sidecar for the manifest
+@pytest.mark.parametrize("target", ["manifest", "record"])
+def test_undecodable_hash_sidecar_rebuilds(tiny_cfg, capsys, target):
     pipeline.stage_synth(tiny_cfg)
-    manifest = tiny_cfg.workdir / "corpus" / "manifest.tsv"
-    side = manifest.with_suffix(".tsv.hash")
+    corpus = tiny_cfg.workdir / "corpus"
+    path = corpus / "manifest.tsv" if target == "manifest" else corpus
+    side = pipeline._sidecar(path)
     digest = side.read_text().strip()
     side.write_bytes(b"\xff\xfe" + digest.encode())
-    assert not pipeline._fresh(manifest, digest)
+    assert not pipeline._fresh(path, digest)
+    if target == "record":
+        with pytest.raises(DependencyError, match="`synth`"):
+            pipeline.stage_mfcc(tiny_cfg, log=lambda *a: None)
     capsys.readouterr()
     pipeline.stage_synth(tiny_cfg)
-    assert "wrote 18 clips" in capsys.readouterr().out
-    assert pipeline._fresh(manifest, digest)
+    assert ("wrote 18 clips" if target == "manifest"
+            else "synth: up to date") in capsys.readouterr().out
+    assert pipeline._fresh(path, digest)
 
 
-@pytest.mark.parametrize("built", [False, True], ids=["fresh", "built"])
-def test_cli_reports_unusable_hash_sidecar(tmp_path, capsys, built):
-    # a directory in the sidecar's place: the stage fails before its work
+@pytest.mark.parametrize("built, side", [
+    (False, "corpus/manifest.tsv.hash"), (True, "corpus/manifest.tsv.hash"),
+    (False, "corpus.hash"), (True, "corpus.hash"),
+], ids=["fresh", "built", "fresh_record", "built_record"])
+def test_cli_reports_unusable_hash_sidecar(tmp_path, capsys, built, side):
+    # a directory in the sidecar's or the record's place: the stage fails
+    # before its work
     cfg = pipeline.parse_config_text(TINY)
     cfg.set("corpus.clips", 2)
     cfg.set("corpus.clip_seconds", 0.5)
     path = _cfg_file(tmp_path, cfg)
     work = tmp_path / "w"
-    side = work / "corpus" / "manifest.tsv.hash"
+    side = work / side
     if built:
         assert main(["synth", "--config", path, "--workdir", str(work)]) == 0
         side.unlink()
@@ -358,6 +370,7 @@ def test_mark_reports_unwritable_sidecar(tmp_path):
     (tmp_path / "out.bin.hash").mkdir()
     with pytest.raises(CacheError, match="out.bin.hash"):
         pipeline._mark(tmp_path / "out.bin", "digest")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin.hash"]
 
 
 # --- eval reads the test split and checks the checkpoint's arch.txt ----------
@@ -481,70 +494,138 @@ def test_eval_rejects_checkpoint_that_does_not_fit(trained_cfg):
     assert not (trained_cfg.workdir / "eval").exists()
 
 
-def _forbidden(*args, **kwargs):
-    raise AssertionError("an up-to-date train stage did this work")
-
-
-def _strip_arch_lines(path):
-    path.write_text("".join(line + "\n" for line in path.read_text()
-                            .splitlines() if not line.startswith("arch.")))
-
-
-def test_up_to_date_train_restores_arch_record(trained_cfg, monkeypatch):
-    # an arch.txt written before it recorded the arch.* section would
-    # otherwise keep eval's check off for good; train rewrites it from
-    # what its digest covers, without training again
+@pytest.mark.parametrize("name", ["arch.txt", "history.csv"])
+def test_train_retrains_when_an_output_is_missing(trained_cfg, name):
+    # arch.txt and history.csv are outputs of train like the checkpoint,
+    # so a current sidecar does not vouch for a model/ without them
     model_dir = trained_cfg.workdir / "model"
-    arch = model_dir / "arch.txt"
-    want = arch.read_text()
-    kept = {name: (model_dir / name).read_bytes()
-            for name in ("model.ckpt", "history.csv")}
-    _strip_arch_lines(arch)
-    monkeypatch.setattr(model, "train", _forbidden)
-    lines = []
-    pipeline.stage_train(trained_cfg, log=lines.append)
-    assert lines[0].startswith("train: up to date")
-    assert arch.read_text() == want
-    assert all((model_dir / name).read_bytes() == data
-               for name, data in kept.items())
-    trained_cfg.set("arch.attention", False)
-    monkeypatch.setattr(model, "build_model", _no_build)
-    with pytest.raises(DataError, match="arch.attention") as caught:
-        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
-    assert str(caught.value).endswith("rerun `train`")
-
-
-@pytest.mark.parametrize("edit", ["unlink", "garble"])
-def test_up_to_date_train_rewrites_unusable_arch_record(trained_cfg,
-                                                        monkeypatch, edit):
-    arch = trained_cfg.workdir / "model" / "arch.txt"
-    want = arch.read_text()
-    if edit == "unlink":
-        arch.unlink()
-    else:
-        arch.write_bytes(b"\xff\xfe")
-    monkeypatch.setattr(model, "train", _forbidden)
-    pipeline.stage_train(trained_cfg, log=lambda *a: None)
-    assert arch.read_text() == want
-
-
-def test_up_to_date_train_leaves_a_current_arch_record(trained_cfg,
-                                                       monkeypatch):
-    monkeypatch.setattr(pipeline, "_feature_set", _forbidden)
-    lines = []
-    pipeline.stage_train(trained_cfg, log=lines.append)
-    assert lines == [f"train: up to date "
-                     f"({trained_cfg.workdir / 'model' / 'model.ckpt'})"]
-
-
-def test_train_retrains_when_the_record_names_other_labels(trained_cfg):
-    # the digest does not cover the labels, so a record of other labels
-    # cannot be vouched for by it
-    arch = trained_cfg.workdir / "model" / "arch.txt"
-    want = arch.read_text()
-    arch.write_text(want.replace("device00", "device09"))
+    before = {p.name: p.read_bytes() for p in model_dir.iterdir()}
+    (model_dir / name).unlink()
     lines = []
     pipeline.stage_train(trained_cfg, log=lines.append)
     assert lines[0].startswith("train: 3 epochs")
-    assert arch.read_text() == want
+    assert {p.name: p.read_bytes() for p in model_dir.iterdir()} == before
     pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+
+
+def test_train_retrains_when_the_labels_change(trained_cfg):
+    # arch.txt records the labels, so they are one of train's inputs
+    manifest = trained_cfg.workdir / "corpus" / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace("\tdevice00\t",
+                                                     "\tdevice09\t"))
+    lines = []
+    pipeline.stage_train(trained_cfg, log=lines.append)
+    assert lines[0].startswith("train: 3 epochs")
+    arch = (trained_cfg.workdir / "model" / "arch.txt").read_text()
+    assert "labels = device01,device02,device09\n" in arch
+    pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+
+
+# --- chained stage records and interrupted writes ---------------------------
+
+def _quiet(*args):
+    pass
+
+
+def test_changed_dsp_section_stales_every_reader_of_the_cepstra(tiny_cfg):
+    for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
+                  pipeline.stage_train_ubm, pipeline.stage_sgmm):
+        stage(tiny_cfg, log=_quiet)
+    tiny_cfg.set("dsp.n_filters", 20)
+    for stage in (pipeline.stage_train_ubm, pipeline.stage_sgmm,
+                  lambda cfg, log: pipeline.stage_small_sample(cfg, 3, log)):
+        with pytest.raises(DependencyError) as caught:
+            stage(tiny_cfg, log=_quiet)
+        assert "`mfcc`" in str(caught.value)
+        assert "dsp.n_filters = 20" in str(caught.value)
+    pipeline.stage_mfcc(tiny_cfg, log=_quiet)
+    lines = []
+    pipeline.stage_train_ubm(tiny_cfg, log=lines.append)
+    assert lines[0].startswith("train-ubm: G=8 on ")
+
+
+def _interrupt_save_of(monkeypatch, victim):
+    """mfcc.save_mfcc leaves half of victim's bytes in place and raises, as
+    a writer killed mid-file would."""
+    save = mfcc.save_mfcc
+
+    def save_or_die(path, matrix):
+        save(path, matrix)
+        if path.name == victim:
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+            raise OSError("interrupted mid-write")
+
+    monkeypatch.setattr(mfcc, "save_mfcc", save_or_die)
+
+
+def _clip_names(cfg):
+    manifest = audio.read_manifest(cfg.workdir / "corpus" / "manifest.tsv")
+    return [Path(e.path).stem + ".mfcc" for e in manifest.entries]
+
+
+def test_interrupted_mfcc_redoes_that_clip_and_the_ones_after(tiny_cfg,
+                                                               monkeypatch):
+    pipeline.stage_synth(tiny_cfg, log=_quiet)
+    names = _clip_names(tiny_cfg)
+    _interrupt_save_of(monkeypatch, names[7])
+    with pytest.raises(OSError, match="interrupted"):
+        pipeline.stage_mfcc(tiny_cfg, log=_quiet)
+    monkeypatch.undo()
+    saved, lines = [], []
+    save = mfcc.save_mfcc
+    monkeypatch.setattr(mfcc, "save_mfcc", lambda path, matrix: (
+        saved.append(path.name), save(path, matrix)))
+    pipeline.stage_mfcc(tiny_cfg, log=lines.append)
+    assert saved == names[7:]
+    assert lines == ["mfcc: 11 extracted, 7 up to date (18 clips)"]
+    assert not list(tiny_cfg.workdir.rglob("*.tmp"))
+
+
+def test_interrupted_rerun_under_other_config_is_not_trusted(tiny_cfg,
+                                                             monkeypatch):
+    # built under A, interrupted under B, then back to A: the half-written
+    # clip's old sidecar must not vouch for it, and the clips B never
+    # reached keep theirs
+    for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
+                  pipeline.stage_train_ubm):
+        stage(tiny_cfg, log=_quiet)
+    mfcc_dir = tiny_cfg.workdir / "mfcc"
+    built = {p.name: p.read_bytes() for p in mfcc_dir.glob("*.mfcc")}
+    other = pipeline.PipelineConfig(dict(tiny_cfg.values))
+    other.set("dsp.f_low", 100.0)
+    _interrupt_save_of(monkeypatch, _clip_names(tiny_cfg)[7])
+    with pytest.raises(OSError, match="interrupted"):
+        pipeline.stage_mfcc(other, log=_quiet)
+    monkeypatch.undo()
+    monkeypatch.setattr(mfcc, "load_mfcc", _forbidden)
+    with pytest.raises(DependencyError, match="`mfcc`"):
+        pipeline.stage_train_ubm(tiny_cfg, log=_quiet)
+    monkeypatch.undo()
+    lines = []
+    pipeline.stage_mfcc(tiny_cfg, log=lines.append)
+    assert lines == ["mfcc: 8 extracted, 10 up to date (18 clips)"]
+    assert {p.name: p.read_bytes() for p in mfcc_dir.glob("*.mfcc")} == built
+    lines = []
+    pipeline.stage_train_ubm(tiny_cfg, log=lines.append)
+    assert lines[-1].startswith("train-ubm: up to date")
+    assert not list(tiny_cfg.workdir.rglob("*.tmp"))
+
+
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "ubm.dgmm"
+    target.write_bytes(b"old bytes")
+    write = Path.write_bytes
+
+    def half_then_die(self, data):
+        write(self, data[:len(data) // 2])
+        raise OSError("interrupted mid-write")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_die)
+    with pytest.raises(OSError, match="interrupted"):
+        atomic.write_atomic(target, b"new bytes, twice as long as the old")
+    assert target.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a stale stage's outputs were read")

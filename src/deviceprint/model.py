@@ -2,9 +2,9 @@
 
 The flow is one function per step: `clip_mfcc` (a clip's checked cepstra),
 `train_ubm`, `extract_sgmm` and `fit_architecture` (tensors to network
-config). `recognize` composes them in memory, and the `pipeline` stages
-call the same ones behind their disk cache. The recognition network stacks
-a pointwise channel-expansion conv (folded into the first conv), two
+config). `run_recognition` composes them in memory, and the `pipeline`
+stages call the same ones behind their disk cache. The recognition network
+stacks a pointwise channel-expansion conv (folded into the first conv), two
 conv/batch-norm/ReLU/max-pool blocks and an average pool over the spatial
 axes of each time step, flattens per step, and feeds the sequence to a
 bidirectional peephole LSTM with self-attention, mean temporal pooling and
@@ -383,8 +383,8 @@ def mfcc_mean_features(mfccs):
 
 
 # ---------------------------------------------------------------------------
-# Recognition flow: one function per step. `recognize` composes them in
-# memory; the `pipeline` stages call the same ones behind a disk cache.
+# Recognition flow: one function per step. `run_recognition` composes them
+# in memory; the `pipeline` stages call the same ones behind a disk cache.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -450,14 +450,28 @@ def fit_architecture(feature_set, n_classes, **arch_kwargs):
                               **arch_kwargs)
 
 
-def recognize(manifest, mfccs, gmm_cfg, train_cfg, train_entries,
-              test_entries, ubm_entries, **arch_kwargs):
-    """Cepstra to evaluated classifier: UBM, temporal tensors, training.
+def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
+                    train_entries=None, test_entries=None, ubm_entries=None,
+                    **arch_kwargs):
+    """Full in-memory pipeline on a corpus manifest: the cepstra of its WAV
+    clips, the UBM, temporal tensors, training and evaluation.
 
-    mfccs maps every entry's path to its cepstra. The UBM is fit on the
-    ubm_entries only (never test data), the network on train_entries, and
-    evaluation runs in inference mode on the untouched test_entries.
+    The entries default to the manifest's train and test splits;
+    ubm_entries picks the unlabeled background pool and defaults to the
+    classifier's train_entries. The UBM is fit on ubm_entries only, the
+    network on train_entries, and evaluation runs in inference mode on
+    the untouched test_entries.
     """
+    if train_entries is None:
+        train_entries = manifest.for_split("train")
+    if test_entries is None:
+        test_entries = manifest.for_split("test")
+    if ubm_entries is None:
+        ubm_entries = train_entries
+    needed = {e.path: e for e in train_entries + test_entries + ubm_entries}
+    mfccs = {path: clip_mfcc(path, read_wav(manifest.resolve(e)),
+                             manifest.sample_rate, frame_cfg, mel_cfg)
+             for path, e in needed.items()}
     if not train_entries or not test_entries:
         raise DataError("manifest needs both train and test entries")
     label_order = manifest.device_ids()
@@ -482,30 +496,6 @@ def recognize(manifest, mfccs, gmm_cfg, train_cfg, train_entries,
                              train_set=train_set, test_set=test_set,
                              train_mfccs=train_mfccs, test_mfccs=test_mfccs,
                              train_labels=train_labels, test_labels=test_labels)
-
-
-def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
-                    train_entries=None, test_entries=None, ubm_entries=None,
-                    **arch_kwargs):
-    """Full in-memory pipeline on a corpus manifest: `recognize` on the
-    cepstra of its WAV clips.
-
-    The entries default to the manifest's train and test splits;
-    ubm_entries picks the unlabeled background pool and defaults to the
-    classifier's train_entries.
-    """
-    if train_entries is None:
-        train_entries = manifest.for_split("train")
-    if test_entries is None:
-        test_entries = manifest.for_split("test")
-    if ubm_entries is None:
-        ubm_entries = train_entries
-    needed = {e.path: e for e in train_entries + test_entries + ubm_entries}
-    mfccs = {path: clip_mfcc(path, read_wav(manifest.resolve(e)),
-                             manifest.sample_rate, frame_cfg, mel_cfg)
-             for path, e in needed.items()}
-    return recognize(manifest, mfccs, gmm_cfg, train_cfg, train_entries,
-                     test_entries, ubm_entries, **arch_kwargs)
 
 
 def ablate_frontend(frame_cfgs, mel_cfgs, manifest, seed=0):

@@ -7,11 +7,9 @@ floor((in + 2 pad - k) / stride) + 1.
 Convolution is one GEMM per sample against that sample's patch matrix,
 copied from a strided window view of the padded input into a buffer that
 holds one sample's patches at a time, which keeps memory near input plus
-output; the kernel gradient builds the patches again the same way. A
-pointwise kernel (1x1x1 at stride 1) has the input itself as its patch
-matrix and runs as one batched channel matmul. The input gradient is the
-same correlation run on the stride-dilated output gradient with the
-flipped, channel-swapped kernel.
+output; the kernel gradient builds the patches again the same way. The
+input gradient is the same correlation run on the stride-dilated output
+gradient with the flipped, channel-swapped kernel.
 
 A 1->C pointwise expansion followed by a conv, with nothing nonlinear
 between them, is one linear map of the 1-channel input. ExpandedConv3d
@@ -71,10 +69,6 @@ def _pad5(x, pads):
     return xp
 
 
-def _pointwise(ksize, stride):
-    return tuple(ksize) == (1, 1, 1) and tuple(stride) == (1, 1, 1)
-
-
 def _patch_matrices(xp, ksize, stride):
     """Each sample's [C*kT*kH*kW, oT*oH*oW] patch matrix, in batch order.
 
@@ -92,19 +86,14 @@ def _patch_matrices(xp, ksize, stride):
 
 
 def _correlate(xp, kernel, stride):
-    """Unpadded, bias-free cross-correlation of xp with kernel; a pointwise
-    kernel, whose patch matrices are the samples themselves, is one batched
-    channel matmul."""
+    """Unpadded, bias-free cross-correlation of xp with kernel."""
     ksize = kernel.shape[2:]
     out = np.empty(xp.shape[:1] + kernel.shape[:1] + tuple(
         (n - k) // s + 1 for n, k, s in zip(xp.shape[2:], ksize, stride)))
     kmat = kernel.reshape(kernel.shape[0], -1)
     oflat = out.reshape(len(out), len(kmat), -1)
-    if _pointwise(ksize, stride):
-        np.matmul(kmat, xp.reshape(xp.shape[0], xp.shape[1], -1), out=oflat)
-    else:
-        for o, mat in zip(oflat, _patch_matrices(xp, ksize, stride)):
-            np.matmul(kmat, mat, out=o)
+    for o, mat in zip(oflat, _patch_matrices(xp, ksize, stride)):
+        np.matmul(kmat, mat, out=o)
     return out
 
 
@@ -126,17 +115,11 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
 
 
 def _kernel_grad(grad_out, xp, kernel_shape, stride):
-    """Sum over samples of grad_out times the patch matrix transposed; for
-    a pointwise kernel, one contraction over batch and positions."""
+    """Sum over samples of grad_out times the patch matrix transposed."""
     gflat = grad_out.reshape(grad_out.shape[0], kernel_shape[0], -1)
-    ksize = kernel_shape[2:]
-    if _pointwise(ksize, stride):
-        grad_k = np.tensordot(
-            gflat, xp.reshape(xp.shape[0], xp.shape[1], -1), ((0, 2), (0, 2)))
-    else:
-        grad_k = np.zeros((kernel_shape[0], int(np.prod(kernel_shape[1:]))))
-        for g, mat in zip(gflat, _patch_matrices(xp, ksize, stride)):
-            grad_k += g @ mat.T
+    grad_k = np.zeros((kernel_shape[0], int(np.prod(kernel_shape[1:]))))
+    for g, mat in zip(gflat, _patch_matrices(xp, kernel_shape[2:], stride)):
+        grad_k += g @ mat.T
     return grad_k.reshape(kernel_shape)
 
 
@@ -157,13 +140,17 @@ def _input_grad(grad_out, x_shape, kernel, stride, padding):
 
 
 def conv3d_backward(grad_out, x, kernel, stride=1, padding=0):
-    """Exact gradients of conv3d_forward w.r.t. input, kernel and bias."""
+    """Exact gradients of conv3d_forward w.r.t. input, kernel and bias.
+
+    The kernel gradient comes first, so the padded input is freed before
+    the input gradient's dilated buffer is built.
+    """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     stride, padding = _triple(stride), _triple(padding)
-    return (_input_grad(grad_out, x.shape, kernel, stride, padding),
-            _kernel_grad(grad_out, _pad5(x, padding), kernel.shape, stride),
+    grad_k = _kernel_grad(grad_out, _pad5(x, padding), kernel.shape, stride)
+    return (_input_grad(grad_out, x.shape, kernel, stride, padding), grad_k,
             grad_out.sum(axis=(0, 2, 3, 4)))
 
 
@@ -259,20 +246,12 @@ class Conv3d:
 
     def backward(self, grad_out):
         """Accumulate the kernel and bias gradients; return the input's."""
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        self._accumulate_param_grads(grad_out)
-        return _input_grad(grad_out, np.shape(self._x), self.w.value,
-                           self.stride, self.padding)
-
-    def _accumulate_param_grads(self, grad_out):
-        """Accumulate the kernel and bias gradients only, for a first layer
-        whose input gradient nobody reads."""
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        xp = _pad5(np.asarray(forward_state(self._x, self), dtype=np.float64),
-                   self.padding)
-        self.w.grad += _kernel_grad(grad_out, xp, self.w.value.shape,
-                                    self.stride)
-        self.b.grad += grad_out.sum(axis=(0, 2, 3, 4))
+        grad_x, grad_w, grad_b = conv3d_backward(
+            grad_out, forward_state(self._x, self), self.w.value,
+            self.stride, self.padding)
+        self.w.grad += grad_w
+        self.b.grad += grad_b
+        return grad_x
 
 
 class PointwiseExpansion:

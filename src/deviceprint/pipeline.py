@@ -1,7 +1,8 @@
 """Disk-staged pipeline: declarative config, content-hash gated stages.
 
 `STAGES` declares each cached stage once, a thin cache around the per-step
-functions that `model.recognize` composes in memory, and `_run` runs it.
+functions that `model.run_recognition` composes in memory, and `_run` runs
+it; `small-sample` and `eval` read what those stages cached.
 A unit is skipped when its `.hash` sidecar holds the digest of its inputs'
 bytes and the config lines of its stage and every stage upstream, so
 reruns are no-ops and one seed gives byte-identical artifacts. Writes:
@@ -319,11 +320,19 @@ def _clip_files(cfg, entries, kind):
                      for e in entries], kind)
 
 
-def _feature_set(cfg, manifest, split):
-    """(tensor, label) pairs of one split, from the sgmm stage."""
-    entries = manifest.for_split(split)
+def _feature_set(cfg, manifest, entries):
+    """(tensor, label) pairs of the entries, from the sgmm stage."""
     tensors = map(gmm_mod.load_sgmm, _clip_files(cfg, entries, "sgmm"))
     return list(zip(tensors, model_mod.label_indices(manifest, entries)))
+
+
+def _fit(cfg, manifest, entries):
+    """(network, history): the classifier trained on the entries' tensors."""
+    train_set = _feature_set(cfg, manifest, entries)
+    arch = model_mod.fit_architecture(train_set, len(manifest.device_ids()),
+                                      **cfg.arch_kwargs())
+    net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
+    return net, model_mod.train(net, train_set, cfg.train_config())
 
 
 def _key_values(text):
@@ -420,12 +429,8 @@ def _sgmm_step(cfg, manifest, pending, jobs, log):
 
 def _train_step(cfg, manifest, pending, jobs, log):
     (ckpt, arch_path, history_path), _ = pending[0]
-    train_set = _feature_set(cfg, manifest, "train")
-    labels = manifest.device_ids()
-    arch = model_mod.fit_architecture(train_set, len(labels),
-                                      **cfg.arch_kwargs())
-    net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
-    history = model_mod.train(net, train_set, cfg.train_config())
+    net, history = _fit(cfg, manifest, manifest.for_split("train"))
+    arch, labels = net.arch, manifest.device_ids()
     save_checkpoint(ckpt, net.state_arrays())
     write_atomic(history_path, "epoch,lr,loss,train_acc\n" + "".join(
         f"{h['epoch']},{h['lr']},{h['loss']},{h['train_acc']}\n"
@@ -495,12 +500,24 @@ def stage_eval(cfg, log=print):
     network is built, and so is the `arch.*` section it recorded against
     the config's: a flipped `arch.attention` changes no array, so only
     the record shows it. The checkpoint must then fit the network array
-    for array.
+    for array, and the train chain's records must be current before
+    anything is written. An unreadable arch.txt or checkpoint also drops
+    the checkpoint's sidecar, so the next `train` rewrites both instead
+    of calling them up to date.
     """
     manifest = _require_manifest(cfg)
     ckpt, arch_path = _require([cfg.workdir / "model" / "model.ckpt",
                                 cfg.workdir / "model" / "arch.txt"], "train")
-    input_dims, label_order, trained_arch = _read_arch(arch_path)
+
+    def read_or_retrain(read, path):
+        try:
+            return read(path)
+        except FormatError:
+            _sidecar(ckpt).unlink(missing_ok=True)
+            raise
+
+    input_dims, label_order, trained_arch = read_or_retrain(_read_arch,
+                                                            arch_path)
     current_arch = _key_values(cfg.section_text("arch"))
     changed = [f"{key} = {value}" for key, value in trained_arch.items()
                if current_arch.get(key) != value]
@@ -511,7 +528,7 @@ def stage_eval(cfg, log=print):
         raise DataError(f"checkpoint labels {','.join(label_order)} differ "
                         f"from the manifest's "
                         f"{','.join(manifest.device_ids())}; rerun `train`")
-    test_set = _feature_set(cfg, manifest, "test")
+    test_set = _feature_set(cfg, manifest, manifest.for_split("test"))
     stale = sorted({t.data.shape for t, _ in test_set} - {input_dims})
     if stale:
         raise DataError(f"test tensors of shape {stale} do not match the "
@@ -521,10 +538,11 @@ def stage_eval(cfg, log=print):
                               **cfg.arch_kwargs())
     net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
     try:
-        net.load_state(load_checkpoint(ckpt))
+        net.load_state(read_or_retrain(load_checkpoint, ckpt))
     except (ConfigError, ShapeError) as exc:
         raise DataError(f"{ckpt} does not fit the configured network "
                         f"({exc}); rerun `train`") from exc
+    _require_stage(cfg, "train")
     metrics = model_mod.evaluate(net, test_set, label_order=label_order)
     _write_metrics(cfg.workdir / "eval", metrics, log)
     log(f"eval: accuracy {metrics.accuracy:.4f}")
@@ -532,6 +550,7 @@ def stage_eval(cfg, log=print):
 
 
 def stage_ablate(cfg, log=print):
+    _require_stage(cfg, "synth")
     manifest = _require_manifest(cfg)
     frame_cfgs = [FrameConfig(fl, fs) for fl, fs in cfg.get("ablate.frame_grid")]
     mel_cfgs = [dataclasses.replace(cfg.mel_config(), f_low=lo, f_high=hi)
@@ -546,20 +565,19 @@ def stage_ablate(cfg, log=print):
 
 
 def stage_small_sample(cfg, n_train, log=print):
-    _require_stage(cfg, "mfcc")
+    """The classifier trained on n_train `sgmm` tensors per device and
+    evaluated on the test split's; the UBM behind every tensor is the
+    `train-ubm` stage's, fit on the full train split."""
+    _require_stage(cfg, "sgmm")
     manifest = _require_manifest(cfg)
-    paths = _clip_files(cfg, manifest.entries, "mfcc")
-    mfccs = {e.path: mfcc_mod.load_mfcc(path, cfg.frame_config(),
-                                        cfg.mel_config())
-             for e, path in zip(manifest.entries, paths)}
-    result = model_mod.recognize(
-        manifest, mfccs, cfg.gmm_config(), cfg.train_config(),
-        *model_mod.small_sample_split(manifest, n_train, cfg.get("train.seed")),
-        **cfg.arch_kwargs())
-    _write_metrics(cfg.workdir / "small_sample", result.metrics, log)
-    log(f"small-sample: n={n_train}/class, accuracy "
-        f"{result.metrics.accuracy:.4f}")
-    return result.metrics
+    train_entries, test_entries, _ = model_mod.small_sample_split(
+        manifest, n_train, cfg.get("train.seed"))
+    net, _ = _fit(cfg, manifest, train_entries)
+    metrics = model_mod.evaluate(net, _feature_set(cfg, manifest, test_entries),
+                                 label_order=manifest.device_ids())
+    _write_metrics(cfg.workdir / "small_sample", metrics, log)
+    log(f"small-sample: n={n_train}/class, accuracy {metrics.accuracy:.4f}")
+    return metrics
 
 
 def stage_gradcheck(log=print):

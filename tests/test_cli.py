@@ -166,6 +166,15 @@ def test_ablate_rows_per_cell(tiny_cfg, capsys):
         "\n") == 3
 
 
+def test_ablate_requires_a_current_synth(tiny_cfg):
+    # a corpus made under another seed is not the one the config names
+    pipeline.stage_synth(tiny_cfg, log=lambda *a: None)
+    tiny_cfg.set("corpus.seed", 8)
+    with pytest.raises(DependencyError, match="`synth`"):
+        pipeline.stage_ablate(tiny_cfg, log=lambda *a: None)
+    assert not (tiny_cfg.workdir / "ablate").exists()
+
+
 def test_cli_main_error_paths(tmp_path, capsys):
     code = main(["mfcc", "--workdir", str(tmp_path / "nowhere")])
     assert code == 1
@@ -192,9 +201,14 @@ def test_cli_gradcheck_exit_zero(capsys):
     assert out.count("PASS") >= 10 and "FAIL" not in out
 
 
+def _build_tensors(cfg):
+    for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
+                  pipeline.stage_train_ubm, pipeline.stage_sgmm):
+        stage(cfg, log=lambda *a: None)
+
+
 def test_small_sample_stage(tiny_cfg, capsys):
-    for stage in (pipeline.stage_synth, pipeline.stage_mfcc):
-        stage(tiny_cfg, log=lambda *a: None)
+    _build_tensors(tiny_cfg)
     metrics = pipeline.stage_small_sample(tiny_cfg, 3, log=lambda *a: None)
     assert 0.0 <= metrics.accuracy <= 1.0
     assert (tiny_cfg.workdir / "small_sample" / "metrics.kv").exists()
@@ -232,8 +246,7 @@ def test_sample_rate_mismatch_same_error_on_both_paths(tiny_cfg):
 
 
 def test_small_sample_stage_matches_protocol(tiny_cfg, monkeypatch):
-    for stage in (pipeline.stage_synth, pipeline.stage_mfcc):
-        stage(tiny_cfg, log=lambda *a: None)
+    _build_tensors(tiny_cfg)
 
     def no_read(path):
         raise AssertionError(f"small-sample stage decoded {path}")
@@ -250,6 +263,20 @@ def test_small_sample_stage_matches_protocol(tiny_cfg, monkeypatch):
         **tiny_cfg.arch_kwargs()).metrics
     assert staged.kv_records() == in_memory.kv_records()
     assert np.array_equal(staged.confusion, in_memory.confusion)
+
+
+def test_small_sample_stage_reads_only_the_cached_tensors(tiny_cfg,
+                                                          monkeypatch):
+    _build_tensors(tiny_cfg)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("small-sample stage redid an upstream stage")
+
+    for module, name in ((model, "train_ubm"), (model, "extract_sgmm"),
+                         (gmm, "extract_sgmm"), (mfcc, "load_mfcc")):
+        monkeypatch.setattr(module, name, no_call)
+    metrics = pipeline.stage_small_sample(tiny_cfg, 3, log=lambda *a: None)
+    assert 0.0 <= metrics.accuracy <= 1.0
 
 
 def test_sgmm_jobs_match_sequential(tiny_cfg):
@@ -451,6 +478,28 @@ def test_eval_rejects_malformed_arch(trained_cfg, text):
         pipeline.stage_eval(trained_cfg, log=lambda *a: None)
 
 
+def test_eval_requires_a_current_train_chain(trained_cfg):
+    # the tensors keep their shape, so only the stage records show that
+    # they were made under another relevance
+    trained_cfg.set("gmm.relevance", 9.0)
+    with pytest.raises(DependencyError) as caught:
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    assert "`train-ubm`" in str(caught.value)
+    assert "gmm.relevance = 9" in str(caught.value)
+    assert not (trained_cfg.workdir / "eval").exists()
+
+
+@pytest.mark.parametrize("name", ["arch.txt", "model.ckpt"])
+def test_unreadable_train_output_is_retrained(trained_cfg, name):
+    (trained_cfg.workdir / "model" / name).write_bytes(b"\xff\xfe")
+    with pytest.raises(FormatError):
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    lines = []
+    pipeline.stage_train(trained_cfg, log=lines.append)
+    assert lines[0].startswith("train: 3 epochs")
+    pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+
+
 def test_eval_requires_arch(trained_cfg):
     (trained_cfg.workdir / "model" / "arch.txt").unlink()
     with pytest.raises(DependencyError, match="train"):
@@ -629,3 +678,24 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("a stale stage's outputs were read")
+
+
+# --- stdout belongs to the caller -------------------------------------------
+
+def test_stages_and_training_print_nothing_but_their_log(tiny_cfg, capfd):
+    # the benchmark reads its result from the last line of its stdout, so
+    # nothing it runs may write there on its own, at the fd level included
+    lines = []
+    for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
+                  pipeline.stage_train_ubm, pipeline.stage_sgmm,
+                  pipeline.stage_train, pipeline.stage_eval,
+                  lambda cfg, log: pipeline.stage_small_sample(cfg, 3, log)):
+        stage(tiny_cfg, log=lines.append)
+    manifest = audio.read_manifest(tiny_cfg.workdir / "corpus" / "manifest.tsv")
+    train_set = pipeline._feature_set(tiny_cfg, manifest,
+                                      manifest.for_split("train"))
+    net = model.build_model(model.fit_architecture(train_set, 3), seed=7)
+    model.train(net, train_set, tiny_cfg.train_config())
+    model.evaluate(net, train_set)
+    assert lines
+    assert capfd.readouterr().out == ""

@@ -133,6 +133,7 @@ class C3dBiLstm:
         if arch.attention:
             self.layers.append(SelfAttention())
         self.layers.extend([MeanOverTime(), self.fc])
+        self.params.pack()  # one flat buffer for zero_grads and Adam
 
     def forward(self, x, train=False):
         """Logits for a [B, 1, T, M, G] batch.
@@ -222,6 +223,8 @@ def train(model, train_set, cfg):
     Each history row records the epoch, the learning rate actually loaded
     into the optimizer, the mean loss and the training accuracy.
     """
+    if not train_set:
+        raise DataError("training set is empty")
     xs, ys = stack_features(train_set)
     n_classes = model.arch.n_classes
     missing = set(range(n_classes)) - set(int(v) for v in np.unique(ys))
@@ -444,6 +447,8 @@ def train_ubm(mfccs, gmm_cfg):
 def fit_architecture(feature_set, n_classes, **arch_kwargs):
     """Network config for the one (M, G, T) shape every tensor shares."""
     shapes = {t.data.shape for t, _ in feature_set}
+    if not shapes:
+        raise DataError("no tensors to fit the architecture to")
     if len(shapes) != 1:
         raise DataError(f"clips produced inconsistent tensor shapes: {shapes}")
     return ArchitectureConfig(input_dims=shapes.pop(), n_classes=n_classes,

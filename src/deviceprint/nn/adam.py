@@ -1,11 +1,20 @@
 """Adam: bias-corrected exponential moving averages of the gradient and
-its elementwise square."""
+its elementwise square.
+
+The moments live in two flat buffers laid out like the store's packed
+values, so a step makes each of its array operations once over the whole
+store instead of once per parameter.
+"""
 
 import numpy as np
 
 
 class AdamState:
-    """Per-parameter first/second moment buffers plus the step counter."""
+    """First/second moment buffers plus the step counter.
+
+    Packs `store` (see `ParamStore.pack`). `m` and `v` map each parameter
+    name to its view of `flat_m` and `flat_v`.
+    """
 
     def __init__(self, store, alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.alpha = alpha
@@ -13,8 +22,11 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in store.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in store.items()}
+        store.pack()
+        self.flat_m = np.zeros_like(store.flat_value)
+        self.flat_v = np.zeros_like(store.flat_value)
+        self.m = store.views(self.flat_m)
+        self.v = store.views(self.flat_v)
 
 
 def adam_step(store, state):
@@ -23,11 +35,10 @@ def adam_step(store, state):
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in store.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * p.grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * p.grad ** 2
-        p.value -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    value, grad = store.flat_value, store.flat_grad
+    m, v = state.flat_m, state.flat_v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad ** 2
+    value -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

@@ -3,6 +3,18 @@
 Gates read the previous cell state through diagonal peephole weights; the
 output gate peeks at the freshly updated cell state. The hidden output is
 o_t * tanh(C_t).
+
+Each direction keeps its weights in four stacked blocks, and every named
+per-gate parameter is a view of one: the input weights `wx` [D, 4H] and
+recurrent weights `wh` [H, 4H] with the gates' columns in `SLOTS` order,
+the biases `b` [4H] likewise, and the peepholes `wp` [3, H] of gates i, f
+and o. A `BiLstm` allocates each block once for both directions, so it
+runs them in lockstep on [2, ...] arrays: one batched GEMM projects every
+step's input before the time loop, each step makes one recurrent GEMM for
+all four gates of both directions, and backward gathers every step's
+pre-activation gradient and makes the weight and input-gradient GEMMs
+once, after the loop. `lstm_step` and `_run_direction` evaluate the same
+cell one gate at a time and stay as its reference.
 """
 
 import numpy as np
@@ -10,35 +22,57 @@ import numpy as np
 from ..errors import ShapeError
 from .params import forward_state, uniform_fanin
 
-GATES = ("i", "f", "o", "c")
+GATES = ("i", "f", "o", "c")  # parameter order, which fixes the checkpoint's
+SLOTS = ("i", "f", "c", "o")  # column order of the stacked blocks
+PEEPHOLES = ("i", "f", "o")
+BLOCKS = ("wx", "wh", "b", "wp")
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) without overflow: exp(-|z|) never exceeds 1, and
+    exp(z) / (1 + exp(z)) stands in where z < 0. Bit for bit the value of
+    evaluating each sign's branch on its own elements."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _blocks(store, n, d_in, hidden):
+    """The four stacked weight blocks of n directions."""
+    return {"wx": store.block((n, d_in, 4 * hidden)),
+            "wh": store.block((n, hidden, 4 * hidden)),
+            "b": store.block((n, 4 * hidden)),
+            "wp": store.block((n, len(PEEPHOLES), hidden))}
 
 
 class LstmParams:
     """All weights of one direction: per-gate input and recurrent matrices,
-    diagonal peephole vectors, and biases."""
+    diagonal peephole vectors, and biases, each a view of the direction's
+    side of the stacked `blocks` (its own, unless a BiLstm shares its)."""
 
-    def __init__(self, store, prefix, d_in, hidden, rng=None):
+    def __init__(self, store, prefix, d_in, hidden, rng=None, blocks=None,
+                 side=0):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.d_in = d_in
         self.hidden = hidden
+        self.blocks = (blocks if blocks is not None
+                       else _blocks(store, 1, d_in, hidden))
+        self.side = side
+
+        def add(name, value, block, *index):
+            setattr(self, name, store.add(f"{prefix}.{name}", value,
+                                          view=(self.blocks[block],
+                                                (side,) + index)))
+
         for g in GATES:
-            setattr(self, f"w_{g}x", store.add(
-                f"{prefix}.w_{g}x", uniform_fanin(rng, (d_in, hidden), d_in)))
-            setattr(self, f"w_{g}h", store.add(
-                f"{prefix}.w_{g}h", uniform_fanin(rng, (hidden, hidden), hidden)))
-            setattr(self, f"b_{g}", store.add(f"{prefix}.b_{g}", np.zeros(hidden)))
-        for g in ("i", "f", "o"):
-            setattr(self, f"w_{g}c", store.add(
-                f"{prefix}.w_{g}c", uniform_fanin(rng, (hidden,), hidden)))
+            k = SLOTS.index(g)
+            cols = slice(k * hidden, (k + 1) * hidden)
+            add(f"w_{g}x", uniform_fanin(rng, (d_in, hidden), d_in),
+                "wx", slice(None), cols)
+            add(f"w_{g}h", uniform_fanin(rng, (hidden, hidden), hidden),
+                "wh", slice(None), cols)
+            add(f"b_{g}", np.zeros(hidden), "b", cols)
+        for k, g in enumerate(PEEPHOLES):
+            add(f"w_{g}c", uniform_fanin(rng, (hidden,), hidden), "wp", k)
 
 
 def _step(x, h_prev, c_prev, p):
@@ -126,28 +160,129 @@ def _run_direction_backward(grad_h, caches, p):
 
 class BiLstm:
     def __init__(self, store, name, d_in, hidden, rng=None):
-        self.fwd = LstmParams(store, f"{name}.fwd", d_in, hidden, rng)
-        self.bwd = LstmParams(store, f"{name}.bwd", d_in, hidden, rng)
+        blocks = _blocks(store, 2, d_in, hidden)
+        self.fwd = LstmParams(store, f"{name}.fwd", d_in, hidden, rng,
+                              blocks, side=0)
+        self.bwd = LstmParams(store, f"{name}.bwd", d_in, hidden, rng,
+                              blocks, side=1)
         self.hidden = hidden
         self._caches = None
 
+    def _weights(self, key):
+        """Block `key` of (fwd, bwd) as one [2, ...] array: a view while the
+        two directions are the two sides of one block, as __init__ builds
+        them, in either order; a stacked copy when they come from
+        different layers."""
+        f, b = self.fwd, self.bwd
+        if f.blocks is b.blocks and f.side != b.side:
+            return f.blocks[key].value[f.side::b.side - f.side]
+        return np.stack([f.blocks[key].value[f.side],
+                         b.blocks[key].value[b.side]])
+
+    def _accumulate(self, key, grad):
+        for p, g in zip((self.fwd, self.bwd), grad):
+            p.blocks[key].grad[p.side] += g
+
     def forward(self, seq, train=False):
         """Both directions over [B, T, D]; per-step outputs concatenated
-        with the forward half first."""
+        with the forward half first.
+
+        Every per-step array is [2, ..., B]: direction first, the backward
+        direction reading the sequence reversed, and batch last, so that
+        each gate is one contiguous [H, B] slab of the recurrent GEMM's
+        output. The peepholes and biases are added to each gate's two GEMM
+        products in the order `_step` adds them, so the outputs equal
+        `lstm_step` composed over each direction.
+        """
         seq = np.asarray(seq, dtype=np.float64)
         if seq.ndim != 3 or seq.shape[1] < 1:
             raise ShapeError("sequence must be [B, T, D] with T >= 1")
-        out_f, caches_f = _run_direction(seq, self.fwd)
-        out_b, caches_b = _run_direction(
-            np.ascontiguousarray(seq[:, ::-1]), self.bwd)
-        self._caches = (caches_f, caches_b) if train else None
-        return np.concatenate([out_f, out_b[:, ::-1]], axis=2)
+        batch, steps, d_in = seq.shape
+        hid = self.hidden
+        wx, wh, bias, peep = (self._weights(k) for k in BLOCKS)
+        bias = bias.reshape(2, 4, hid, 1)
+        peep = peep[..., None]
+        xs = np.empty((2, steps, batch, d_in))
+        xs[0] = seq.transpose(1, 0, 2)
+        xs[1] = seq[:, ::-1].transpose(1, 0, 2)
+        proj = np.matmul(wx.transpose(0, 2, 1)[:, None],
+                         xs.transpose(0, 1, 3, 2)).reshape(
+            2, steps, 4, hid, batch)
+        wh_t = wh.transpose(0, 2, 1)
+        hs = np.zeros((2, steps + 1, hid, batch))  # [:, t] is h_{t-1}
+        cs = np.zeros((2, steps + 1, hid, batch))
+        acts = np.empty((2, steps, 4, hid, batch))  # i, f, g, o per SLOTS
+        tanh_cs = np.empty((2, steps, hid, batch))
+        for t in range(steps):
+            c_prev, c, act = cs[:, t], cs[:, t + 1], acts[:, t]
+            z = np.matmul(wh_t, hs[:, t]).reshape(2, 4, hid, batch)
+            z += proj[:, t]
+            z[:, :2] += c_prev[:, None] * peep[:, :2]
+            z[:, :3] += bias[:, :3]
+            act[:, :2] = _sigmoid(z[:, :2])
+            np.tanh(z[:, 2], out=act[:, 2])
+            np.multiply(act[:, 1], c_prev, out=c)
+            c += act[:, 0] * act[:, 2]
+            z_o = z[:, 3]
+            z_o += c * peep[:, 2]
+            z_o += bias[:, 3]
+            act[:, 3] = _sigmoid(z_o)
+            np.tanh(c, out=tanh_cs[:, t])
+            np.multiply(act[:, 3], tanh_cs[:, t], out=hs[:, t + 1])
+        self._caches = (xs, hs, cs, acts, tanh_cs) if train else None
+        out = np.empty((batch, steps, 2 * hid))
+        out[:, :, :hid] = hs[0, 1:].transpose(2, 0, 1)
+        out[:, :, hid:] = hs[1, :0:-1].transpose(2, 0, 1)
+        return out
 
     def backward(self, grad_out):
-        caches_f, caches_b = forward_state(self._caches, self)
-        h = self.hidden
-        grad_f = np.ascontiguousarray(grad_out[:, :, :h])
-        grad_b = np.ascontiguousarray(grad_out[:, ::-1, h:])
-        dseq_f = _run_direction_backward(grad_f, caches_f, self.fwd)
-        dseq_b = _run_direction_backward(grad_b, caches_b, self.bwd)
-        return dseq_f + dseq_b[:, ::-1]
+        xs, hs, cs, acts, tanh_cs = forward_state(self._caches, self)
+        _, steps, batch, d_in = xs.shape
+        hid = self.hidden
+        wx, wh, peep = (self._weights(k) for k in ("wx", "wh", "wp"))
+        peep = peep[..., None]
+        grad_h = np.empty((2, steps, hid, batch))
+        grad_h[0] = grad_out[:, :, :hid].transpose(1, 2, 0)
+        grad_h[1] = grad_out[:, ::-1, hid:].transpose(1, 2, 0)
+        # every factor that does not depend on the incoming gradient, for
+        # all steps at once: each gate's local derivative times what it
+        # multiplies (i: g, f: C_{t-1}, g: i), and the two paths from h_t
+        deriv = 1.0 - acts
+        deriv *= acts
+        deriv[:, :, 2] = 1.0 - acts[:, :, 2] ** 2
+        coef_ifg = np.stack([acts[:, :, 2], cs[:, :steps], acts[:, :, 0]],
+                            axis=2)
+        coef_ifg *= deriv[:, :, :3]
+        coef_o = tanh_cs * deriv[:, :, 3]  # dh_t -> o's pre-activation
+        coef_c = 1.0 - tanh_cs ** 2  # dh_t -> C_t
+        coef_c *= acts[:, :, 3]
+        dpre = np.empty((2, steps, 4, hid, batch))
+        dh_next = np.zeros((2, hid, batch))
+        dc_next = np.zeros((2, hid, batch))
+        for t in range(steps - 1, -1, -1):
+            d = dpre[:, t]
+            dh = grad_h[:, t] + dh_next
+            np.multiply(dh, coef_o[:, t], out=d[:, 3])
+            dc = dh * coef_c[:, t]
+            dc += dc_next
+            dc += d[:, 3] * peep[:, 2]  # o peeks at the new cell
+            np.multiply(dc[:, None], coef_ifg[:, t], out=d[:, :3])
+            dc_next = dc * acts[:, t, 1]
+            dc_next += (d[:, :2] * peep[:, :2]).sum(axis=1)
+            dh_next = np.matmul(wh, d.reshape(2, 4 * hid, batch))
+        self._accumulate("wp", np.concatenate([
+            np.einsum("dtkhb,dthb->dkh", dpre[:, :, :2], cs[:, :steps]),
+            np.einsum("dthb,dthb->dh", dpre[:, :, 3], cs[:, 1:])[:, None]],
+            axis=1))
+        # the other gradients sum over steps and batch in one GEMM each, on
+        # one row per (step, sample)
+        rows = steps * batch
+        d_rows = dpre.transpose(0, 1, 4, 2, 3).reshape(2, rows, 4 * hid)
+        self._accumulate("b", d_rows.sum(axis=1))
+        self._accumulate("wx", np.matmul(
+            xs.reshape(2, rows, d_in).transpose(0, 2, 1), d_rows))
+        self._accumulate("wh", np.matmul(
+            hs[:, :steps].transpose(0, 2, 1, 3).reshape(2, hid, rows), d_rows))
+        dxs = np.matmul(d_rows, wx.transpose(0, 2, 1)).reshape(
+            2, steps, batch, d_in)
+        return (dxs[0] + dxs[1, ::-1]).transpose(1, 0, 2)

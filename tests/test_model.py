@@ -180,7 +180,8 @@ def test_parameter_count_matches_hand_sum():
                 + 2 * per_direction
                 + (2 * hidden * n_classes + n_classes))
     assert expected == 56613
-    assert net.params.n_scalars() == expected
+    assert sum(p.value.size for _, p in net.params.items()) == expected
+    assert net.params.flat_value.size == expected
 
 
 def test_architecture_validation():
@@ -249,6 +250,13 @@ def test_train_rejects_empty_class():
     cfg = model.TrainConfig(initial_lr=0.01, epochs=1, seed=0)
     with pytest.raises(DataError):
         model.train(net, data, cfg)
+
+
+def test_train_rejects_empty_set():
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 4), n_classes=2)
+    net = model.build_model(arch, seed=0)
+    with pytest.raises(DataError, match="training set is empty"):
+        model.train(net, [], model.TrainConfig(epochs=1))
 
 
 def test_evaluate_chance_level_for_random_model():
@@ -485,3 +493,8 @@ def test_fit_architecture_rejects_mixed_shapes():
     arch = model.fit_architecture(tensors[:1], 2, hidden=16)
     assert arch.input_dims == (12, 8, 4) and arch.hidden == 16
     assert arch.channels == model.ArchitectureConfig((12, 8, 4), 2).channels
+
+
+def test_fit_architecture_rejects_an_empty_set():
+    with pytest.raises(DataError, match="no tensors"):
+        model.fit_architecture([], 2)

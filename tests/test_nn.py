@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from deviceprint import model, nn
-from deviceprint.errors import (DataError, DependencyError, FormatError,
-                               LabelError, ShapeError)
+from deviceprint.errors import (ConfigError, DataError, DependencyError,
+                               FormatError, LabelError, ShapeError)
 from deviceprint.nn import gradcheck
-from deviceprint.nn.recurrent import _run_direction
+from deviceprint.nn.recurrent import (_run_direction, _run_direction_backward,
+                                      _sigmoid)
 
 
 # --- conv3d -----------------------------------------------------------------
@@ -419,6 +420,88 @@ def test_run_direction_matches_step():
         assert np.allclose(outputs[:, t], h)
 
 
+def _network_bilstm(seed):
+    """A BiLstm at the network's G=8 shape: B=16, T=5, D=32, H=64, with
+    nonzero biases so that the order they are added in shows."""
+    rng = np.random.default_rng(seed)
+    store = nn.ParamStore()
+    layer = nn.BiLstm(store, "bilstm", 32, 64, rng=rng)
+    store.pack()
+    for params in (layer.fwd, layer.bwd):
+        for g in "ifoc":
+            getattr(params, f"b_{g}").value[:] = rng.uniform(-0.5, 0.5, 64)
+    return store, layer, rng.standard_normal((16, 5, 32))
+
+
+def test_bilstm_forward_equals_lstm_step_per_direction():
+    _, layer, seq = _network_bilstm(20)
+    out = layer.forward(seq)
+    for params, half, order in ((layer.fwd, slice(0, 64), range(5)),
+                                (layer.bwd, slice(64, 128), range(4, -1, -1))):
+        h = c = np.zeros((16, 64))
+        for t in order:
+            h, c = nn.lstm_step(seq[:, t], h, c, params)
+            assert np.array_equal(out[:, t, half], h)
+
+
+def _per_step_bptt(layer, seq, grad_out):
+    """Each direction on its own, one gate and one step at a time
+    (`_run_direction_backward`): the reference for the lockstep backward."""
+    hid = layer.hidden
+    _, caches_f = _run_direction(seq, layer.fwd)
+    _, caches_b = _run_direction(np.ascontiguousarray(seq[:, ::-1]),
+                                 layer.bwd)
+    dseq_f = _run_direction_backward(
+        np.ascontiguousarray(grad_out[:, :, :hid]), caches_f, layer.fwd)
+    dseq_b = _run_direction_backward(
+        np.ascontiguousarray(grad_out[:, ::-1, hid:]), caches_b, layer.bwd)
+    return dseq_f + dseq_b[:, ::-1]
+
+
+def test_bilstm_gradients_match_per_step_bptt():
+    store, layer, seq = _network_bilstm(21)
+    grad_out = np.random.default_rng(22).standard_normal((16, 5, 128))
+    store.zero_grads()
+    want_dseq = _per_step_bptt(layer, seq, grad_out)
+    want = {name: p.grad.copy() for name, p in store.items()}
+    store.zero_grads()
+    layer.forward(seq, train=True)
+    got_dseq = layer.backward(grad_out)
+
+    def rel(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    assert rel(got_dseq, want_dseq) < 1e-10
+    assert max(rel(p.grad, want[name]) for name, p in store.items()) < 1e-10
+
+
+def _masked_sigmoid(z):
+    """Each sign's branch on its own elements: the reference for
+    `_sigmoid`."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_the_masked_formula_bit_for_bit():
+    z = np.concatenate([np.random.default_rng(23).normal(0, 30, 100_000),
+                        [0.0, -0.0, np.inf, -np.inf]])
+    with np.errstate(all="raise"):
+        assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+    # exp(-800) underflows, so both formulas raise under all="raise";
+    # without that flag they agree there too
+    extreme = np.array([800.0, -800.0])
+    for sigmoid in (_sigmoid, _masked_sigmoid):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            sigmoid(extreme)
+    with np.errstate(all="raise", under="ignore"):
+        assert (_sigmoid(extreme).tobytes()
+                == _masked_sigmoid(extreme).tobytes())
+
+
 # --- attention -----------------------------------------------------------------
 
 def test_attention_single_step_identity():
@@ -596,7 +679,73 @@ def test_adam_quadratic_convergence():
     assert np.linalg.norm(p.value) < 0.1
 
 
+def _adam_loop(store, m, v, step, alpha, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One parameter at a time: the reference for the flat adam_step."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for name, p in store.items():
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * p.grad
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * p.grad ** 2
+        p.value -= alpha * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def test_adam_step_matches_the_per_parameter_loop():
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=5)
+    flat, loop = (model.build_model(arch, seed=24) for _ in range(2))
+    state = nn.AdamState(flat.params, alpha=0.002)
+    m = {name: np.zeros_like(p.value) for name, p in loop.params.items()}
+    v = {name: np.zeros_like(p.value) for name, p in loop.params.items()}
+    rng = np.random.default_rng(25)
+    for step in range(1, 4):
+        for (_, p), (_, q) in zip(flat.params.items(), loop.params.items()):
+            p.grad[...] = q.grad[...] = rng.standard_normal(p.value.shape)
+        nn.adam_step(flat.params, state)
+        _adam_loop(loop.params, m, v, step, alpha=0.002)
+    for (name, p), (_, q) in zip(flat.params.items(), loop.params.items()):
+        assert p.value.tobytes() == q.value.tobytes()
+        assert state.m[name].tobytes() == m[name].tobytes()
+        assert state.v[name].tobytes() == v[name].tobytes()
+
+
 # --- parameters and checkpoints -----------------------------------------------------
+
+def test_packed_store_parameters_and_moments_are_flat_views():
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=5)
+    store = model.build_model(arch, seed=26).params
+    state = nn.AdamState(store)
+    for name, p in store.items():
+        assert np.shares_memory(p.value, store.flat_value)
+        assert np.shares_memory(p.grad, store.flat_grad)
+        assert np.shares_memory(state.m[name], state.flat_m)
+        assert np.shares_memory(state.v[name], state.flat_v)
+        assert state.m[name].shape == state.v[name].shape == p.value.shape
+    store.flat_grad[:] = 1.0
+    store.zero_grads()
+    assert not any(p.grad.any() for _, p in store.items())
+
+
+def test_packed_store_takes_no_more_parameters():
+    store = nn.ParamStore()
+    first = store.add("a", np.arange(3.0))
+    store.pack()
+    assert np.array_equal(first.value, np.arange(3.0))
+    with pytest.raises(ConfigError, match="packed"):
+        store.add("b", np.zeros(2))
+    with pytest.raises(ConfigError, match="packed"):
+        store.block((2,))
+    assert store.names() == ["a"]
+
+
+def test_load_state_writes_through_the_flat_views():
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=5)
+    source, net = model.build_model(arch, seed=27), model.build_model(arch)
+    flat = net.params.flat_value
+    net.load_state(source.state_arrays())
+    assert net.params.flat_value is flat
+    assert np.array_equal(flat, source.params.flat_value)
+
 
 def test_param_store_unique_names():
     store = nn.ParamStore()

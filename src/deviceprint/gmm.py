@@ -5,6 +5,12 @@ short feature segment then MAP-adapts the mixture means toward its own
 frames, and the per-segment adapted mean matrices, min-max normalized per
 feature dimension, are stacked in time order into an M x G x T tensor
 (the sequential Gaussian mean feature consumed by the classifier).
+
+A tensor's `.sgmm` file is the whole feature: magic, M, G, T and the
+data. The segment length and relevance factor behind it are config lines
+(`gmm.seg_frames`, `gmm.relevance`), which the pipeline's `sgmm` stage
+record keeps, so the file does not repeat them and a loaded tensor
+carries 0 for both.
 """
 
 import struct
@@ -18,7 +24,6 @@ from .errors import ConfigError, DataError, FormatError, ShapeError, TooShortErr
 
 GMM_MAGIC = b"DGMM1"
 SGMM_MAGIC = b"SGMM1"
-NORM_RULE = "per-segment-row-minmax"
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -86,7 +91,6 @@ class SgmmTensor:
     n_components: int
     seg_frames: int
     relevance: float
-    norm_rule: str = NORM_RULE
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -402,16 +406,11 @@ def save_sgmm(path, tensor):
     m, g, t = tensor.data.shape
     payload = SGMM_MAGIC + struct.pack("<iii", m, g, t)
     payload += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-    path = Path(path)
     write_atomic(path, payload)
-    write_atomic(path.with_suffix(path.suffix + ".meta"),
-                 f"G={tensor.n_components} t={tensor.seg_frames} "
-                 f"r={tensor.relevance} norm={tensor.norm_rule}\n")
 
 
 def load_sgmm(path):
-    path = Path(path)
-    raw = path.read_bytes()
+    raw = Path(path).read_bytes()
     if raw[:5] != SGMM_MAGIC:
         raise FormatError(f"{path}: bad feature tensor magic")
     if len(raw) < 17:
@@ -420,16 +419,5 @@ def load_sgmm(path):
     if min(m, g, t) <= 0 or len(raw) != 17 + 8 * m * g * t:
         raise FormatError(f"{path}: inconsistent tensor record size")
     data = np.frombuffer(raw, "<f8", offset=17).reshape(m, g, t)
-    meta_path = path.with_suffix(path.suffix + ".meta")
-    seg_frames, relevance, rule = 0, 0.0, NORM_RULE
-    if meta_path.exists():
-        try:
-            fields = dict(tok.split("=", 1)
-                          for tok in meta_path.read_text().split())
-            seg_frames = int(fields.get("t", 0))
-            relevance = float(fields.get("r", 0.0))
-        except ValueError as exc:
-            raise FormatError(f"{meta_path}: malformed metadata") from exc
-        rule = fields.get("norm", NORM_RULE)
-    return SgmmTensor(data=data.copy(), n_components=g, seg_frames=seg_frames,
-                      relevance=relevance, norm_rule=rule)
+    return SgmmTensor(data=data.copy(), n_components=g, seg_frames=0,
+                      relevance=0.0)

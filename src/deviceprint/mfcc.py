@@ -199,7 +199,7 @@ def extract_mfcc(clip, frame_cfg, mel_cfg):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: binary record plus a CSV export for inspection
+# Serialization
 # ---------------------------------------------------------------------------
 
 def save_mfcc(path, mfcc):
@@ -222,7 +222,3 @@ def load_mfcc(path, frame_cfg=None, mel_cfg=None):
     return MfccMatrix(coeffs=coeffs.copy(),
                       frame_config=frame_cfg or FrameConfig(),
                       mel_config=mel_cfg or MelConfig())
-
-
-def export_mfcc_csv(path, mfcc):
-    np.savetxt(path, mfcc.coeffs, delimiter=",")

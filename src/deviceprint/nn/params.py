@@ -173,4 +173,7 @@ def load_checkpoint(path):
             pos += 8 * size
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated checkpoint") from exc
+    if pos != len(raw):
+        raise FormatError(f"{path}: {len(raw) - pos} bytes after the last "
+                          f"checkpoint entry")
     return arrays

@@ -1,4 +1,4 @@
-"""Peephole LSTM cell and bidirectional sequence layer.
+"""Peephole LSTM weights and the bidirectional sequence layer.
 
 Gates read the previous cell state through diagonal peephole weights; the
 output gate peeks at the freshly updated cell state. The hidden output is
@@ -13,8 +13,8 @@ runs them in lockstep on [2, ...] arrays: one batched GEMM projects every
 step's input before the time loop, each step makes one recurrent GEMM for
 all four gates of both directions, and backward gathers every step's
 pre-activation gradient and makes the weight and input-gradient GEMMs
-once, after the loop. `lstm_step` and `_run_direction` evaluate the same
-cell one gate at a time and stay as its reference.
+once, after the loop. The tests keep a per-gate, one-direction cell as
+the reference it is checked against.
 """
 
 import numpy as np
@@ -75,89 +75,6 @@ class LstmParams:
             add(f"w_{g}c", uniform_fanin(rng, (hidden,), hidden), "wp", k)
 
 
-def _step(x, h_prev, c_prev, p):
-    i = _sigmoid(x @ p.w_ix.value + h_prev @ p.w_ih.value
-                 + c_prev * p.w_ic.value + p.b_i.value)
-    f = _sigmoid(x @ p.w_fx.value + h_prev @ p.w_fh.value
-                 + c_prev * p.w_fc.value + p.b_f.value)
-    g = np.tanh(x @ p.w_cx.value + h_prev @ p.w_ch.value + p.b_c.value)
-    c = f * c_prev + i * g
-    o = _sigmoid(x @ p.w_ox.value + h_prev @ p.w_oh.value
-                 + c * p.w_oc.value + p.b_o.value)
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, (x, h_prev, c_prev, i, f, o, g, c, tanh_c)
-
-
-def lstm_step(x, h_prev, c_prev, params):
-    """One cell update; returns (h_t, C_t)."""
-    h, c, _ = _step(np.asarray(x, dtype=np.float64),
-                    np.asarray(h_prev, dtype=np.float64),
-                    np.asarray(c_prev, dtype=np.float64), params)
-    return h, c
-
-
-def _run_direction(seq, p):
-    batch, steps, _ = seq.shape
-    h = np.zeros((batch, p.hidden))
-    c = np.zeros((batch, p.hidden))
-    outputs = np.empty((batch, steps, p.hidden))
-    caches = []
-    for t in range(steps):
-        h, c, cache = _step(seq[:, t], h, c, p)
-        outputs[:, t] = h
-        caches.append(cache)
-    return outputs, caches
-
-
-def _run_direction_backward(grad_h, caches, p):
-    """Backpropagate through time. grad_h is (B, T, H): the gradient
-    arriving at every step's hidden output. Accumulates parameter grads
-    and returns the gradient w.r.t. the input sequence."""
-    batch, steps, _ = grad_h.shape
-    grad_seq = np.empty((batch, steps, p.d_in))
-    dh_next = np.zeros((batch, p.hidden))
-    dc_next = np.zeros((batch, p.hidden))
-    for t in range(steps - 1, -1, -1):
-        x, h_prev, c_prev, i, f, o, g, c, tanh_c = caches[t]
-        dh = grad_h[:, t] + dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
-        do_pre = do * o * (1.0 - o)
-        dc = dc + do_pre * p.w_oc.value  # output gate peeks at the new cell
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_prev = dc * f
-        di_pre = di * i * (1.0 - i)
-        df_pre = df * f * (1.0 - f)
-        dg_pre = dg * (1.0 - g ** 2)
-        dc_prev += di_pre * p.w_ic.value + df_pre * p.w_fc.value
-
-        p.w_ix.grad += x.T @ di_pre
-        p.w_fx.grad += x.T @ df_pre
-        p.w_ox.grad += x.T @ do_pre
-        p.w_cx.grad += x.T @ dg_pre
-        p.w_ih.grad += h_prev.T @ di_pre
-        p.w_fh.grad += h_prev.T @ df_pre
-        p.w_oh.grad += h_prev.T @ do_pre
-        p.w_ch.grad += h_prev.T @ dg_pre
-        p.w_ic.grad += (di_pre * c_prev).sum(axis=0)
-        p.w_fc.grad += (df_pre * c_prev).sum(axis=0)
-        p.w_oc.grad += (do_pre * c).sum(axis=0)
-        p.b_i.grad += di_pre.sum(axis=0)
-        p.b_f.grad += df_pre.sum(axis=0)
-        p.b_o.grad += do_pre.sum(axis=0)
-        p.b_c.grad += dg_pre.sum(axis=0)
-
-        grad_seq[:, t] = (di_pre @ p.w_ix.value.T + df_pre @ p.w_fx.value.T
-                          + do_pre @ p.w_ox.value.T + dg_pre @ p.w_cx.value.T)
-        dh_next = (di_pre @ p.w_ih.value.T + df_pre @ p.w_fh.value.T
-                   + do_pre @ p.w_oh.value.T + dg_pre @ p.w_ch.value.T)
-        dc_next = dc_prev
-    return grad_seq
-
-
 class BiLstm:
     def __init__(self, store, name, d_in, hidden, rng=None):
         blocks = _blocks(store, 2, d_in, hidden)
@@ -190,9 +107,10 @@ class BiLstm:
         Every per-step array is [2, ..., B]: direction first, the backward
         direction reading the sequence reversed, and batch last, so that
         each gate is one contiguous [H, B] slab of the recurrent GEMM's
-        output. The peepholes and biases are added to each gate's two GEMM
-        products in the order `_step` adds them, so the outputs equal
-        `lstm_step` composed over each direction.
+        output. Each gate's pre-activation adds its two GEMM products, then
+        its peephole term (gates i, f and o), then its bias, as a per-gate
+        cell does, so the outputs equal that cell composed over each
+        direction bit for bit.
         """
         seq = np.asarray(seq, dtype=np.float64)
         if seq.ndim != 3 or seq.shape[1] < 1:

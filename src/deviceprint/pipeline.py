@@ -422,7 +422,7 @@ def _sgmm_step(cfg, manifest, pending, jobs, log):
     job = partial(_sgmm_job, ubm=gmm_mod.load_gmm(ubm_path),
                   gmm_cfg=cfg.gmm_config())
     tensors = map_jobs(job, [src for _, (_, src) in pending], jobs)
-    for ((path, _), _), result in zip(pending, tensors):
+    for ((path,), _), result in zip(pending, tensors):
         gmm_mod.save_sgmm(path, result)
         yield
 
@@ -456,8 +456,7 @@ STAGES = {
                         lambda cfg, manifest: [tuple(_clip_files(
                             cfg, manifest.for_split("train"), "mfcc"))],
                         _ubm_step),
-    "sgmm": _Stage(("gmm",), "train-ubm",
-                   ("sgmm/{stem}.sgmm", "sgmm/{stem}.sgmm.meta"),
+    "sgmm": _Stage(("gmm",), "train-ubm", ("sgmm/{stem}.sgmm",),
                    lambda cfg, manifest: [
                        (cfg.workdir / "ubm" / "ubm.dgmm", src)
                        for src in _clip_files(cfg, manifest.entries, "mfcc")],

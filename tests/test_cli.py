@@ -290,7 +290,8 @@ def test_sgmm_jobs_match_sequential(tiny_cfg):
 
     pipeline.stage_sgmm(tiny_cfg, jobs=1, log=lambda *a: None)
     sequential = snapshot()
-    assert len(sequential) == 18 * 3  # tensor, .meta and .hash per clip
+    # each clip's outputs and its .hash sidecar
+    assert len(sequential) == 18 * (len(pipeline.STAGES["sgmm"].outputs) + 1)
     shutil.rmtree(sgmm_dir)
     pipeline.stage_sgmm(tiny_cfg, jobs=2, log=lambda *a: None)
     assert snapshot() == sequential
@@ -527,6 +528,67 @@ def test_eval_rejects_checkpoint_of_another_network(trained_cfg, monkeypatch,
         pipeline.stage_eval(trained_cfg, log=lambda *a: None)
     assert str(caught.value).endswith("rerun `train`")
     assert not (trained_cfg.workdir / "eval").exists()
+
+
+def test_stray_meta_files_of_an_older_build_are_ignored(trained_cfg,
+                                                       tmp_path):
+    # builds that wrote a .sgmm.meta text sidecar beside every tensor left
+    # them in the workdir; nothing reads them, however malformed
+    path = _cfg_file(tmp_path, trained_cfg)
+    work = trained_cfg.workdir
+    results = {}
+    for garbage in (False, True):
+        if garbage:
+            for tensor in (work / "sgmm").glob("*.sgmm"):
+                tensor.with_suffix(".sgmm.meta").write_text("t=abc r=4.0")
+        lines = []
+        pipeline.stage_sgmm(trained_cfg, log=lines.append)
+        pipeline.stage_train(trained_cfg, log=lines.append)
+        assert lines == ["sgmm: 0 extracted, 18 up to date (18 clips)",
+                         f"train: up to date ({work / 'model' / 'model.ckpt'})"]
+        assert main(["eval", "--config", path]) == 0
+        assert main(["small-sample", "--config", path, "--n-train", "3"]) == 0
+        results[garbage] = [(work / kind / "metrics.kv").read_bytes()
+                            for kind in ("eval", "small_sample")]
+    assert len(list((work / "sgmm").glob("*.meta"))) == 18
+    assert results[True] == results[False]
+
+
+def _half(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+
+
+def _append_byte(path):
+    path.write_bytes(path.read_bytes() + b"\x00")
+
+
+def _first_clip(split, kind):
+    """(cfg -> the first `split` clip's artifact of per-clip stage kind)."""
+    def artifact(cfg):
+        manifest = audio.read_manifest(cfg.workdir / "corpus" / "manifest.tsv")
+        return pipeline._clip_files(cfg, manifest.for_split(split)[:1],
+                                    kind)[0]
+    return artifact
+
+
+@pytest.mark.parametrize("damage, artifact, command", [
+    (_half, _first_clip("train", "mfcc"), "train-ubm"),
+    (_half, _first_clip("train", "sgmm"), "train"),
+    (_half, _first_clip("test", "sgmm"), "eval"),
+    (_append_byte, lambda cfg: cfg.workdir / "model" / "model.ckpt", "eval"),
+], ids=["mfcc_train_ubm", "sgmm_train", "test_sgmm_eval", "ckpt_eval"])
+def test_cli_reports_a_damaged_artifact_under_a_current_sidecar(
+        trained_cfg, tmp_path, capsys, damage, artifact, command):
+    # the artifact's own sidecar keys its inputs, not its bytes, so the
+    # stage that wrote it calls it up to date; its reader must refuse it
+    target = artifact(trained_cfg)
+    damage(target)
+    path = _cfg_file(tmp_path, trained_cfg)
+    assert main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]: ") and str(target) in err
+    assert "Traceback" not in err
 
 
 def test_eval_rejects_checkpoint_that_does_not_fit(trained_cfg):

@@ -364,23 +364,8 @@ def test_sgmm_serialization_round_trip(tmp_path):
     gmm.save_sgmm(path, tensor)
     back = gmm.load_sgmm(path)
     assert np.array_equal(back.data, tensor.data)
-    assert back.seg_frames == 10
-    assert back.relevance == 4.0
     assert path.read_bytes()[:5] == b"SGMM1"
-    assert path.with_suffix(".sgmm.meta").exists()
-
-
-@pytest.mark.parametrize("meta", ["t=abc r=4.0", "t r=4.0"])
-def test_sgmm_load_rejects_malformed_meta(tmp_path, meta):
-    rng = np.random.default_rng(18)
-    ubm = gmm.em_fit(rng.standard_normal((4, 100)), 3, seed=0)
-    tensor = gmm.extract_sgmm(ubm, _mfcc(rng.standard_normal((4, 20))),
-                              10, 4.0)
-    path = tmp_path / "t.sgmm"
-    gmm.save_sgmm(path, tensor)
-    path.with_suffix(".sgmm.meta").write_text(meta)
-    with pytest.raises(FormatError):
-        gmm.load_sgmm(path)
+    assert list(tmp_path.iterdir()) == [path]  # no .meta sidecar
 
 
 def test_diag_gmm_invariants():

@@ -247,12 +247,3 @@ def test_mfcc_load_truncated_header(tmp_path):
     with pytest.raises(FormatError):
         mfcc.load_mfcc(path)
 
-
-def test_mfcc_csv_export(tmp_path):
-    rng = np.random.default_rng(6)
-    mat = mfcc.MfccMatrix(rng.standard_normal((3, 4)),
-                          mfcc.FrameConfig(), mfcc.MelConfig())
-    path = tmp_path / "x.csv"
-    mfcc.export_mfcc_csv(path, mat)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.allclose(back, mat.coeffs)

@@ -7,8 +7,7 @@ from deviceprint import model, nn
 from deviceprint.errors import (ConfigError, DataError, DependencyError,
                                FormatError, LabelError, ShapeError)
 from deviceprint.nn import gradcheck
-from deviceprint.nn.recurrent import (_run_direction, _run_direction_backward,
-                                      _sigmoid)
+from deviceprint.nn.recurrent import _sigmoid
 
 
 # --- conv3d -----------------------------------------------------------------
@@ -333,6 +332,93 @@ def test_pool_finite_differences():
 
 # --- LSTM ---------------------------------------------------------------------
 
+# The per-gate cell of one direction, one step at a time: the reference
+# that the lockstep `BiLstm` is checked against. Each gate's pre-activation
+# is its two products, then its peephole term, then its bias.
+
+def _step(x, h_prev, c_prev, p):
+    i = _sigmoid(x @ p.w_ix.value + h_prev @ p.w_ih.value
+                 + c_prev * p.w_ic.value + p.b_i.value)
+    f = _sigmoid(x @ p.w_fx.value + h_prev @ p.w_fh.value
+                 + c_prev * p.w_fc.value + p.b_f.value)
+    g = np.tanh(x @ p.w_cx.value + h_prev @ p.w_ch.value + p.b_c.value)
+    c = f * c_prev + i * g
+    o = _sigmoid(x @ p.w_ox.value + h_prev @ p.w_oh.value
+                 + c * p.w_oc.value + p.b_o.value)
+    tanh_c = np.tanh(c)
+    h = o * tanh_c
+    return h, c, (x, h_prev, c_prev, i, f, o, g, c, tanh_c)
+
+
+def lstm_step(x, h_prev, c_prev, params):
+    """One cell update; returns (h_t, C_t)."""
+    h, c, _ = _step(np.asarray(x, dtype=np.float64),
+                    np.asarray(h_prev, dtype=np.float64),
+                    np.asarray(c_prev, dtype=np.float64), params)
+    return h, c
+
+
+def _run_direction(seq, p):
+    batch, steps, _ = seq.shape
+    h = np.zeros((batch, p.hidden))
+    c = np.zeros((batch, p.hidden))
+    outputs = np.empty((batch, steps, p.hidden))
+    caches = []
+    for t in range(steps):
+        h, c, cache = _step(seq[:, t], h, c, p)
+        outputs[:, t] = h
+        caches.append(cache)
+    return outputs, caches
+
+
+def _run_direction_backward(grad_h, caches, p):
+    """Backpropagate through time. grad_h is (B, T, H): the gradient
+    arriving at every step's hidden output. Accumulates parameter grads
+    and returns the gradient w.r.t. the input sequence."""
+    batch, steps, _ = grad_h.shape
+    grad_seq = np.empty((batch, steps, p.d_in))
+    dh_next = np.zeros((batch, p.hidden))
+    dc_next = np.zeros((batch, p.hidden))
+    for t in range(steps - 1, -1, -1):
+        x, h_prev, c_prev, i, f, o, g, c, tanh_c = caches[t]
+        dh = grad_h[:, t] + dh_next
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
+        do_pre = do * o * (1.0 - o)
+        dc = dc + do_pre * p.w_oc.value  # output gate peeks at the new cell
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_prev = dc * f
+        di_pre = di * i * (1.0 - i)
+        df_pre = df * f * (1.0 - f)
+        dg_pre = dg * (1.0 - g ** 2)
+        dc_prev += di_pre * p.w_ic.value + df_pre * p.w_fc.value
+
+        p.w_ix.grad += x.T @ di_pre
+        p.w_fx.grad += x.T @ df_pre
+        p.w_ox.grad += x.T @ do_pre
+        p.w_cx.grad += x.T @ dg_pre
+        p.w_ih.grad += h_prev.T @ di_pre
+        p.w_fh.grad += h_prev.T @ df_pre
+        p.w_oh.grad += h_prev.T @ do_pre
+        p.w_ch.grad += h_prev.T @ dg_pre
+        p.w_ic.grad += (di_pre * c_prev).sum(axis=0)
+        p.w_fc.grad += (df_pre * c_prev).sum(axis=0)
+        p.w_oc.grad += (do_pre * c).sum(axis=0)
+        p.b_i.grad += di_pre.sum(axis=0)
+        p.b_f.grad += df_pre.sum(axis=0)
+        p.b_o.grad += do_pre.sum(axis=0)
+        p.b_c.grad += dg_pre.sum(axis=0)
+
+        grad_seq[:, t] = (di_pre @ p.w_ix.value.T + df_pre @ p.w_fx.value.T
+                          + do_pre @ p.w_ox.value.T + dg_pre @ p.w_cx.value.T)
+        dh_next = (di_pre @ p.w_ih.value.T + df_pre @ p.w_fh.value.T
+                   + do_pre @ p.w_oh.value.T + dg_pre @ p.w_ch.value.T)
+        dc_next = dc_prev
+    return grad_seq
+
+
 def _zero_params(d_in, hidden):
     store = nn.ParamStore()
     params = nn.LstmParams(store, "cell", d_in, hidden,
@@ -344,8 +430,8 @@ def _zero_params(d_in, hidden):
 
 def test_lstm_step_zero_case():
     _, params = _zero_params(3, 4)
-    h, c = nn.lstm_step(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)),
-                        params)
+    h, c = lstm_step(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)),
+                     params)
     assert not h.any() and not c.any()
 
 
@@ -354,7 +440,7 @@ def test_lstm_step_memory_passthrough():
     params.b_f.value[:] = 30.0   # forget gate pinned open
     params.b_i.value[:] = -30.0  # input gate pinned shut
     c_prev = np.array([[0.3, -0.7, 1.1, 0.0]])
-    h, c = nn.lstm_step(np.ones((1, 3)), np.zeros((1, 4)), c_prev, params)
+    h, c = lstm_step(np.ones((1, 3)), np.zeros((1, 4)), c_prev, params)
     assert np.max(np.abs(c - c_prev)) < 1e-6
 
 
@@ -364,8 +450,8 @@ def test_lstm_output_gate_peeks_new_cell():
     params.w_oc.value[:] = 5.0
     params.b_i.value[:] = 30.0  # input gate open
     params.w_cx.value[:] = 10.0  # candidate follows x
-    h, c = nn.lstm_step(np.array([[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)),
-                        params)
+    h, c = lstm_step(np.array([[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)),
+                     params)
     expected_c = 1.0 * np.tanh(10.0)
     sigma = 1.0 / (1.0 + np.exp(-5.0 * expected_c))
     assert c[0, 0] == pytest.approx(expected_c, abs=1e-9)
@@ -373,7 +459,33 @@ def test_lstm_output_gate_peeks_new_cell():
 
 
 def test_lstm_bptt_finite_difference():
-    assert gradcheck.check_lstm_step(seed=0) < 1e-6
+    # the reference's own backward against finite differences, so that the
+    # oracle the lockstep layer is held to is itself checked
+    rng = np.random.default_rng(0)
+    store = nn.ParamStore()
+    params = nn.LstmParams(store, "cell", 3, 4, rng=rng)
+    seq = rng.standard_normal((2, 3, 3))
+    probe = rng.standard_normal((2, 3, 4))
+
+    def loss():
+        return float(np.sum(_run_direction(seq, params)[0] * probe))
+
+    store.zero_grads()
+    grad_seq = _run_direction_backward(probe, _run_direction(seq, params)[1],
+                                       params)
+    errs = [gradcheck.rel_error(grad_seq, gradcheck.numerical_grad(loss, seq))]
+    errs += [gradcheck.rel_error(p.grad, gradcheck.numerical_grad(loss, p.value))
+             for _, p in store.items()]
+    assert max(errs) < 1e-6
+
+
+def test_lstm_step_check_runs_the_shipped_layer():
+    # criterion 3's lstm_step slot checks the BiLstm the network runs, at
+    # one step
+    for seed in range(3):
+        assert gradcheck.check_lstm_step(seed) == gradcheck.check_bilstm(
+            seed, steps=1)
+        assert gradcheck.check_lstm_step(seed) < 1e-6
 
 
 def test_bilstm_degenerate_sequence():
@@ -382,10 +494,10 @@ def test_bilstm_degenerate_sequence():
     layer = nn.BiLstm(store, "b", 3, 4, rng=rng)
     seq = rng.standard_normal((2, 1, 3))
     out = layer.forward(seq)
-    h_f, _ = nn.lstm_step(seq[:, 0], np.zeros((2, 4)), np.zeros((2, 4)),
-                          layer.fwd)
-    h_b, _ = nn.lstm_step(seq[:, 0], np.zeros((2, 4)), np.zeros((2, 4)),
-                          layer.bwd)
+    h_f, _ = lstm_step(seq[:, 0], np.zeros((2, 4)), np.zeros((2, 4)),
+                       layer.fwd)
+    h_b, _ = lstm_step(seq[:, 0], np.zeros((2, 4)), np.zeros((2, 4)),
+                       layer.bwd)
     assert np.allclose(out[:, 0, :4], h_f)
     assert np.allclose(out[:, 0, 4:], h_b)
 
@@ -416,7 +528,7 @@ def test_run_direction_matches_step():
     h = np.zeros((2, 4))
     c = np.zeros((2, 4))
     for t in range(4):
-        h, c = nn.lstm_step(seq[:, t], h, c, params)
+        h, c = lstm_step(seq[:, t], h, c, params)
         assert np.allclose(outputs[:, t], h)
 
 
@@ -440,7 +552,7 @@ def test_bilstm_forward_equals_lstm_step_per_direction():
                                 (layer.bwd, slice(64, 128), range(4, -1, -1))):
         h = c = np.zeros((16, 64))
         for t in order:
-            h, c = nn.lstm_step(seq[:, t], h, c, params)
+            h, c = lstm_step(seq[:, t], h, c, params)
             assert np.array_equal(out[:, t, half], h)
 
 
@@ -450,7 +562,7 @@ def _per_step_bptt(layer, seq, grad_out):
     hid = layer.hidden
     _, caches_f = _run_direction(seq, layer.fwd)
     _, caches_b = _run_direction(np.ascontiguousarray(seq[:, ::-1]),
-                                 layer.bwd)
+                              layer.bwd)
     dseq_f = _run_direction_backward(
         np.ascontiguousarray(grad_out[:, :, :hid]), caches_f, layer.fwd)
     dseq_b = _run_direction_backward(
@@ -777,6 +889,14 @@ def test_checkpoint_truncated_entry_count(tmp_path, raw):
     path = tmp_path / "short.ckpt"
     path.write_bytes(raw)
     with pytest.raises(FormatError, match="truncated"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(path, {"fc.w": np.ones((2, 3)), "fc.b": np.zeros(3)})
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="1 bytes after"):
         nn.load_checkpoint(path)
 
 

@@ -345,8 +345,18 @@ def _highshelf_coeffs(freq, sample_rate, gain_db):
             (a + 1) - (a - 1) * cw - sq)
 
 
-def make_device_profile(device_id, sample_rate, seed, noise_level=0.04,
-                        n_taps=64):
+# taps of a device FIR
+FIR_TAPS = 64
+
+# a candidate channel is kept once its dB magnitude response differs from
+# every chosen device's by at least this much at its largest gap and on
+# average; after MAX_PROFILE_ATTEMPTS draws the most separated one is kept
+MIN_PEAK_GAP_DB = 6.0
+MIN_MEAN_GAP_DB = 1.5
+MAX_PROFILE_ATTEMPTS = 64
+
+
+def make_device_profile(device_id, sample_rate, seed, noise_level=0.04):
     """Generate a random but seed-stable device channel.
 
     The FIR is the truncated impulse response of 2-4 random peaking-EQ
@@ -360,7 +370,7 @@ def make_device_profile(device_id, sample_rate, seed, noise_level=0.04,
         raise ConfigError(f"sample rate {sample_rate} Hz is too low for the "
                           f"device EQ bands (at least 706 Hz)")
     rng = np.random.default_rng(seed)
-    h = np.zeros(n_taps)
+    h = np.zeros(FIR_TAPS)
     h[0] = 1.0
     for _ in range(int(rng.integers(2, 5))):
         freq = rng.uniform(300.0, top)
@@ -378,14 +388,12 @@ def _response_db(fir):
     return 20.0 * np.log10(np.abs(np.fft.rfft(fir, 512)) + 1e-12)
 
 
-def select_device_profiles(n_devices, sample_rate, seed, noise_level=0.04,
-                           min_peak_gap_db=6.0, min_mean_gap_db=1.5,
-                           max_attempts=64):
+def select_device_profiles(n_devices, sample_rate, seed, noise_level=0.04):
     """Draw one channel per device, rejecting draws whose magnitude
     response sits too close to an already chosen device.
 
     Deterministic: candidate k for device d is seeded by (seed, d, k).
-    After max_attempts the most separated candidate is kept, so the
+    After MAX_PROFILE_ATTEMPTS the most separated candidate is kept, so the
     function always returns n_devices profiles.
     """
     profiles = []
@@ -394,7 +402,7 @@ def select_device_profiles(n_devices, sample_rate, seed, noise_level=0.04,
         device_id = f"device{d:02d}"
         best = None
         best_sep = -1.0
-        for attempt in range(max_attempts):
+        for attempt in range(MAX_PROFILE_ATTEMPTS):
             cand = make_device_profile(device_id, sample_rate,
                                        [seed, d, attempt],
                                        noise_level=noise_level)
@@ -405,10 +413,10 @@ def select_device_profiles(n_devices, sample_rate, seed, noise_level=0.04,
             diffs = [np.abs(resp - other) for other in responses]
             peak = min(float(dd.max()) for dd in diffs)
             mean = min(float(dd.mean()) for dd in diffs)
-            sep = min(peak / min_peak_gap_db, mean / min_mean_gap_db)
+            sep = min(peak / MIN_PEAK_GAP_DB, mean / MIN_MEAN_GAP_DB)
             if sep > best_sep:
                 best, best_sep = cand, sep
-            if peak >= min_peak_gap_db and mean >= min_mean_gap_db:
+            if peak >= MIN_PEAK_GAP_DB and mean >= MIN_MEAN_GAP_DB:
                 break
         profiles.append(best)
         responses.append(_response_db(best.fir))

@@ -13,19 +13,21 @@ record keeps, so the file does not repeat them and a loaded tensor
 carries 0 for both.
 """
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
-from .errors import ConfigError, DataError, FormatError, ShapeError, TooShortError
+from .atomic import Record, pack_float64, pack_int32, write_atomic
+from .errors import ConfigError, DataError, ShapeError, TooShortError
 
 GMM_MAGIC = b"DGMM1"
 SGMM_MAGIC = b"SGMM1"
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+# EM floors every variance at this fraction of the data's global
+# per-dimension variance
+VARIANCE_FLOOR_FACTOR = 1e-3
 
 
 @dataclass
@@ -198,15 +200,14 @@ def _kmeanspp_centers(x, n_centers, rng):
     return centers
 
 
-def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0,
-           variance_floor_factor=1e-3):
+def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0):
     """Fit a diagonal-covariance mixture to an (M, N) frame matrix by EM.
 
     Initialization is kmeans++-style center seeding on a subsample followed
     by one hard-assignment pass; soft EM then alternates posteriors and
     closed-form weight/mean/variance updates until the total log-likelihood
     gain drops below tol or max_iters is reached. Variances are floored at
-    variance_floor_factor times the global per-dimension variance after
+    VARIANCE_FLOOR_FACTOR times the global per-dimension variance after
     every update, so degenerate inputs converge instead of blowing up (the
     `degenerate` diagnostic is set when the data has no spread at all).
 
@@ -229,7 +230,7 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0,
     rng = np.random.default_rng(seed)
     global_var = x.var(axis=0)
     degenerate = bool(np.all(global_var < 1e-12))
-    floor = np.maximum(variance_floor_factor * global_var, 1e-12)
+    floor = np.maximum(VARIANCE_FLOOR_FACTOR * global_var, 1e-12)
 
     centers = _kmeanspp_centers(x, n_components, rng)
     # hard assignment in blocks of at most 2M squared differences
@@ -378,46 +379,26 @@ def extract_sgmm(ubm, mfcc, seg_frames, relevance):
 # ---------------------------------------------------------------------------
 
 def save_gmm(path, gmm):
-    g, m = gmm.means.shape
-    payload = GMM_MAGIC + struct.pack("<ii", g, m)
-    for arr in (gmm.weights, gmm.means, gmm.variances):
-        payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    write_atomic(path, payload)
+    write_atomic(path, GMM_MAGIC + pack_int32(*gmm.means.shape) + b"".join(
+        map(pack_float64, (gmm.weights, gmm.means, gmm.variances))))
 
 
 def load_gmm(path):
-    raw = Path(path).read_bytes()
-    if raw[:5] != GMM_MAGIC:
-        raise FormatError(f"{path}: bad mixture magic")
-    if len(raw) < 13:
-        raise FormatError(f"{path}: truncated mixture header")
-    g, m = struct.unpack_from("<ii", raw, 5)
-    expected = 13 + 8 * (g + 2 * g * m)
-    if g <= 0 or m <= 0 or len(raw) != expected:
-        raise FormatError(f"{path}: inconsistent mixture record size")
-    vals = np.frombuffer(raw, "<f8", offset=13)
-    weights = vals[:g]
-    means = vals[g:g + g * m].reshape(g, m)
-    variances = vals[g + g * m:].reshape(g, m)
-    return DiagGmm(weights.copy(), means.copy(), variances.copy())
+    record = Record(path, GMM_MAGIC, "mixture")
+    g, m = record.ints(2, least=1)
+    arrays = [record.array(shape) for shape in ((g,), (g, m), (g, m))]
+    record.end()
+    return DiagGmm(*arrays)
 
 
 def save_sgmm(path, tensor):
-    m, g, t = tensor.data.shape
-    payload = SGMM_MAGIC + struct.pack("<iii", m, g, t)
-    payload += np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-    write_atomic(path, payload)
+    write_atomic(path, SGMM_MAGIC + pack_int32(*tensor.data.shape)
+                 + pack_float64(tensor.data))
 
 
 def load_sgmm(path):
-    raw = Path(path).read_bytes()
-    if raw[:5] != SGMM_MAGIC:
-        raise FormatError(f"{path}: bad feature tensor magic")
-    if len(raw) < 17:
-        raise FormatError(f"{path}: truncated feature tensor header")
-    m, g, t = struct.unpack_from("<iii", raw, 5)
-    if min(m, g, t) <= 0 or len(raw) != 17 + 8 * m * g * t:
-        raise FormatError(f"{path}: inconsistent tensor record size")
-    data = np.frombuffer(raw, "<f8", offset=17).reshape(m, g, t)
-    return SgmmTensor(data=data.copy(), n_components=g, seg_frames=0,
+    record = Record(path, SGMM_MAGIC, "feature tensor")
+    data = record.array(record.ints(3, least=1))
+    record.end()
+    return SgmmTensor(data=data, n_components=data.shape[1], seg_frames=0,
                       relevance=0.0)

@@ -3,14 +3,12 @@ log compression, and an orthonormal DCT-II, with configurable band limits
 and frame geometry."""
 
 import functools
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
-from .errors import ConfigError, FormatError, ShapeError, TooShortError
+from .atomic import Record, pack_float64, pack_int32, write_atomic
+from .errors import ConfigError, ShapeError, TooShortError
 
 LOG_FLOOR = 1e-10
 
@@ -203,22 +201,14 @@ def extract_mfcc(clip, frame_cfg, mel_cfg):
 # ---------------------------------------------------------------------------
 
 def save_mfcc(path, mfcc):
-    m, n = mfcc.coeffs.shape
-    payload = MFCC_MAGIC + struct.pack("<ii", m, n)
-    payload += np.ascontiguousarray(mfcc.coeffs, dtype="<f8").tobytes()
-    write_atomic(path, payload)
+    write_atomic(path, MFCC_MAGIC + pack_int32(*mfcc.coeffs.shape)
+                 + pack_float64(mfcc.coeffs))
 
 
 def load_mfcc(path, frame_cfg=None, mel_cfg=None):
-    raw = Path(path).read_bytes()
-    if raw[:5] != MFCC_MAGIC:
-        raise FormatError(f"{path}: bad MFCC magic")
-    if len(raw) < 13:
-        raise FormatError(f"{path}: truncated MFCC header")
-    m, n = struct.unpack_from("<ii", raw, 5)
-    if m <= 0 or n <= 0 or len(raw) != 13 + 8 * m * n:
-        raise FormatError(f"{path}: inconsistent MFCC record size")
-    coeffs = np.frombuffer(raw, "<f8", offset=13).reshape(m, n)
-    return MfccMatrix(coeffs=coeffs.copy(),
+    record = Record(path, MFCC_MAGIC, "MFCC record")
+    coeffs = record.array(record.ints(2, least=1))
+    record.end()
+    return MfccMatrix(coeffs=coeffs,
                       frame_config=frame_cfg or FrameConfig(),
                       mel_config=mel_cfg or MelConfig())

@@ -330,10 +330,11 @@ class LogisticClassifier:
     singular designs well-posed rather than erroring.
     """
 
-    def __init__(self, lr=0.5, iters=500, l2=1e-3):
+    l2 = 1e-3  # weight of the L2 penalty
+
+    def __init__(self, lr=0.5, iters=500):
         self.lr = lr
         self.iters = iters
-        self.l2 = l2
         self.w = None
         self.b = None
         self.loss_history = []
@@ -375,9 +376,9 @@ class LogisticClassifier:
         return float(np.mean(self.predict(features) == np.asarray(labels)))
 
 
-def baseline_classifier(features, labels, n_classes=None, **kwargs):
+def baseline_classifier(features, labels, n_classes=None):
     """Train the linear baseline on fixed-length vectors."""
-    return LogisticClassifier(**kwargs).fit(features, labels, n_classes)
+    return LogisticClassifier().fit(features, labels, n_classes)
 
 
 def mfcc_mean_features(mfccs):
@@ -503,7 +504,7 @@ def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
                              train_labels=train_labels, test_labels=test_labels)
 
 
-def ablate_frontend(frame_cfgs, mel_cfgs, manifest, seed=0):
+def ablate_frontend(frame_cfgs, mel_cfgs, manifest):
     """Grid over frame geometry and band limits, scored with the linear
     baseline on per-clip MFCC means. Returns one row dict per cell."""
     train_entries = manifest.for_split("train")

@@ -8,6 +8,10 @@ store instead of once per parameter.
 
 import numpy as np
 
+# decay rates of the first and second moment averages
+BETA1 = 0.9
+BETA2 = 0.999
+
 
 class AdamState:
     """First/second moment buffers plus the step counter.
@@ -16,10 +20,8 @@ class AdamState:
     name to its view of `flat_m` and `flat_v`.
     """
 
-    def __init__(self, store, alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store, alpha=1e-3, eps=1e-8):
         self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
         store.pack()
@@ -33,12 +35,12 @@ def adam_step(store, state):
     """Apply one update to every parameter from its accumulated gradient."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     value, grad = store.flat_value, store.flat_grad
     m, v = state.flat_m, state.flat_v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad ** 2
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad ** 2
     value -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

@@ -39,12 +39,13 @@ class BatchNorm3d:
     raises DependencyError.
     """
 
-    def __init__(self, store, name, channels, eps=1e-5, momentum=0.9):
+    eps = 1e-5  # added to the variance before its square root
+
+    def __init__(self, store, name, channels, momentum=0.9):
         self.gamma = store.add(f"{name}.gamma", np.ones(channels))
         self.beta = store.add(f"{name}.beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.eps = eps
         self.momentum = momentum
         self._cache = None
 

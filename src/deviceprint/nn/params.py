@@ -1,13 +1,10 @@
 """Named trainable parameters with gradients, checkpoint I/O, and the
 check every layer's backward makes on the state its forward kept."""
 
-import struct
-from pathlib import Path
-
 import numpy as np
 
-from ..atomic import write_atomic
-from ..errors import ConfigError, DependencyError, FormatError
+from ..atomic import Record, pack_float64, pack_int32, write_atomic
+from ..errors import ConfigError, DependencyError
 
 CHECKPOINT_MAGIC = b"STRL1"
 
@@ -138,42 +135,23 @@ def uniform_fanin(rng, shape, fan_in):
 def save_checkpoint(path, arrays):
     """Write named float64 arrays: magic, count, then per entry the
     UTF-8 name, rank, 32-bit extents and row-major values."""
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<i", len(arrays))]
+    chunks = [CHECKPOINT_MAGIC, pack_int32(len(arrays))]
     for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype="<f8")
+        arr = np.asarray(arr)
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<i", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<i", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}i", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr).tobytes())
+        chunks += [pack_int32(len(encoded)), encoded,
+                   pack_int32(arr.ndim, *arr.shape), pack_float64(arr)]
     write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path):
-    raw = Path(path).read_bytes()
-    if raw[:5] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic")
+    record = Record(path, CHECKPOINT_MAGIC, "checkpoint")
     arrays = {}
-    try:
-        (count,) = struct.unpack_from("<i", raw, 5)
-        pos = 9
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<i", raw, pos)
-            pos += 4
-            name = raw[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (rank,) = struct.unpack_from("<i", raw, pos)
-            pos += 4
-            shape = struct.unpack_from(f"<{rank}i", raw, pos)
-            pos += 4 * rank
-            size = int(np.prod(shape)) if rank else 1
-            arrays[name] = np.frombuffer(
-                raw, "<f8", count=size, offset=pos).reshape(shape).copy()
-            pos += 8 * size
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated checkpoint") from exc
-    if pos != len(raw):
-        raise FormatError(f"{path}: {len(raw) - pos} bytes after the last "
-                          f"checkpoint entry")
+    (count,) = record.ints(1)
+    for _ in range(count):
+        (name_len,) = record.ints(1)
+        name = record.text(name_len)
+        (rank,) = record.ints(1)
+        arrays[name] = record.array(record.ints(rank))
+    record.end()
     return arrays

@@ -9,6 +9,9 @@ reruns are no-ops and one seed gives byte-identical artifacts. Writes:
 every artifact goes to a temp file that `os.replace` moves into place; a
 unit's sidecar is unlinked just before its outputs are replaced and is
 written after them; the stage record, which later stages check, is last.
+A sidecar vouches for its inputs, not for its outputs' bytes, so every
+cached artifact is read through `_read_cached`: a reader that refuses the
+file drops the sidecar and names the stage whose rerun rebuilds it.
 
 Every library default lives in the dataclass that uses it; the schema
 entries that feed one read their default from it.
@@ -301,6 +304,18 @@ def _run(cfg, name, log, jobs=1):
     return manifest if per_clip else units[0][0][0]
 
 
+def _read_cached(stage, read, path, *args, unit=None):
+    """read(path, *args) of an artifact that `stage` wrote. A FormatError
+    first unlinks the `.hash` sidecar that vouches for the file, the one
+    of its unit's first output `unit` (path itself by default), so that
+    the next run of `stage` rebuilds it; the error then names `stage`."""
+    try:
+        return read(path, *args)
+    except FormatError as exc:
+        _sidecar(unit or path).unlink(missing_ok=True)
+        raise FormatError(f"{exc}; rerun `{stage}`") from exc
+
+
 def _require(paths, stage):
     """paths, each of which must exist; `stage` is the one that writes them."""
     for path in paths:
@@ -322,7 +337,8 @@ def _clip_files(cfg, entries, kind):
 
 def _feature_set(cfg, manifest, entries):
     """(tensor, label) pairs of the entries, from the sgmm stage."""
-    tensors = map(gmm_mod.load_sgmm, _clip_files(cfg, entries, "sgmm"))
+    tensors = [_read_cached("sgmm", gmm_mod.load_sgmm, path)
+               for path in _clip_files(cfg, entries, "sgmm")]
     return list(zip(tensors, model_mod.label_indices(manifest, entries)))
 
 
@@ -387,8 +403,9 @@ def _mfcc_job(wav_path, sample_rate, frame_cfg, mel_cfg):
 
 
 def _sgmm_job(mfcc_path, ubm, gmm_cfg):
-    return gmm_mod.extract_sgmm(ubm, mfcc_mod.load_mfcc(mfcc_path),
-                                gmm_cfg.seg_frames, gmm_cfg.relevance)
+    return gmm_mod.extract_sgmm(
+        ubm, _read_cached("mfcc", mfcc_mod.load_mfcc, mfcc_path),
+        gmm_cfg.seg_frames, gmm_cfg.relevance)
 
 
 def _mfcc_step(cfg, manifest, pending, jobs, log):
@@ -402,7 +419,8 @@ def _mfcc_step(cfg, manifest, pending, jobs, log):
 
 def _ubm_step(cfg, manifest, pending, jobs, log):
     (ubm_path,), mfcc_paths = pending[0]
-    feats = [mfcc_mod.load_mfcc(path, cfg.frame_config(), cfg.mel_config())
+    feats = [_read_cached("mfcc", mfcc_mod.load_mfcc, path,
+                          cfg.frame_config(), cfg.mel_config())
              for path in mfcc_paths]
     gmm_cfg = cfg.gmm_config()
     ubm = model_mod.train_ubm(feats, gmm_cfg)
@@ -419,7 +437,8 @@ def _ubm_step(cfg, manifest, pending, jobs, log):
 
 def _sgmm_step(cfg, manifest, pending, jobs, log):
     _, (ubm_path, _) = pending[0]
-    job = partial(_sgmm_job, ubm=gmm_mod.load_gmm(ubm_path),
+    job = partial(_sgmm_job,
+                  ubm=_read_cached("train-ubm", gmm_mod.load_gmm, ubm_path),
                   gmm_cfg=cfg.gmm_config())
     tensors = map_jobs(job, [src for _, (_, src) in pending], jobs)
     for ((path,), _), result in zip(pending, tensors):
@@ -507,16 +526,8 @@ def stage_eval(cfg, log=print):
     manifest = _require_manifest(cfg)
     ckpt, arch_path = _require([cfg.workdir / "model" / "model.ckpt",
                                 cfg.workdir / "model" / "arch.txt"], "train")
-
-    def read_or_retrain(read, path):
-        try:
-            return read(path)
-        except FormatError:
-            _sidecar(ckpt).unlink(missing_ok=True)
-            raise
-
-    input_dims, label_order, trained_arch = read_or_retrain(_read_arch,
-                                                            arch_path)
+    input_dims, label_order, trained_arch = _read_cached(
+        "train", _read_arch, arch_path, unit=ckpt)
     current_arch = _key_values(cfg.section_text("arch"))
     changed = [f"{key} = {value}" for key, value in trained_arch.items()
                if current_arch.get(key) != value]
@@ -537,7 +548,7 @@ def stage_eval(cfg, log=print):
                               **cfg.arch_kwargs())
     net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
     try:
-        net.load_state(read_or_retrain(load_checkpoint, ckpt))
+        net.load_state(_read_cached("train", load_checkpoint, ckpt))
     except (ConfigError, ShapeError) as exc:
         raise DataError(f"{ckpt} does not fit the configured network "
                         f"({exc}); rerun `train`") from exc

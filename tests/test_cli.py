@@ -591,6 +591,28 @@ def test_cli_reports_a_damaged_artifact_under_a_current_sidecar(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("artifact, command, stage", [
+    (_first_clip("train", "mfcc"), "train-ubm", "mfcc"),
+    (_first_clip("train", "sgmm"), "train", "sgmm"),
+], ids=["mfcc", "sgmm"])
+def test_damaged_artifact_is_rebuilt_by_the_stage_the_error_names(
+        trained_cfg, tmp_path, capsys, artifact, command, stage):
+    path = _cfg_file(tmp_path, trained_cfg)
+    metrics = trained_cfg.workdir / "eval" / "metrics.kv"
+    assert main(["eval", "--config", path]) == 0
+    undamaged = metrics.read_bytes()
+    _half(artifact(trained_cfg))
+    capsys.readouterr()
+    assert main([command, "--config", path]) == 1
+    assert f"; rerun `{stage}`" in capsys.readouterr().err
+    lines = []
+    getattr(pipeline, f"stage_{stage}")(trained_cfg, log=lines.append)
+    assert lines == [f"{stage}: 1 extracted, 17 up to date (18 clips)"]
+    for later in ("train-ubm", "sgmm", "train", "eval"):
+        assert main([later, "--config", path]) == 0
+    assert metrics.read_bytes() == undamaged
+
+
 def test_eval_rejects_checkpoint_that_does_not_fit(trained_cfg):
     # a record without the arch.* lines leaves the check to load_state
     arch = trained_cfg.workdir / "model" / "arch.txt"

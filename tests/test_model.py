@@ -8,7 +8,7 @@ from deviceprint.errors import (ConfigError, DataError, DependencyError,
                                ShapeError)
 from deviceprint.gmm import SgmmTensor
 from deviceprint.nn import (AdamState, BatchNorm3d, BiLstm, Conv3d, Dense,
-                            ParamStore, adam_step)
+                            ParamStore, adam_step, gradcheck)
 
 
 def _tensor(rng, dims=(12, 8, 4)):
@@ -159,6 +159,39 @@ def test_inference_between_training_steps_leaves_gradients():
         after.append({name: p.grad.copy() for name, p in net.params.items()})
         after[-1].update(net.state_arrays())
     assert all(np.array_equal(after[0][k], after[1][k]) for k in after[0])
+
+
+@pytest.mark.parametrize("kernel_t, attention", [(1, True), (3, True),
+                                                 (3, False)])
+def test_whole_network_gradient_matches_finite_differences(kernel_t,
+                                                           attention):
+    # forward and backward as composed, over every packed parameter: the
+    # skipped pw slot, the pw fold into conv1 and the layer order included
+    arch = model.ArchitectureConfig(input_dims=(8, 8, 3), n_classes=3,
+                                    channels=(2, 3, 2), kernel_t=kernel_t,
+                                    hidden=3, attention=attention)
+    net = model.build_model(arch, seed=21)
+    rng = np.random.default_rng(22)
+    x = gradcheck._tie_free(rng, (4, 1, 3, 8, 8))
+    probe = rng.standard_normal((4, 3))
+
+    def loss():
+        return float(np.sum(net.forward(x, train=True) * probe))
+
+    net.params.zero_grads()
+    net.forward(x, train=True)
+    net.backward(probe)
+    analytic = net.params.views(net.params.flat_grad.copy())
+    numeric = net.params.views(
+        gradcheck.numerical_grad(loss, net.params.flat_value))
+    # train-mode batch norm subtracts each conv bias again, so their true
+    # gradient is 0 and a relative error of rounding noise means nothing
+    for name in ("conv1.b", "conv2.b"):
+        assert np.abs(analytic.pop(name)).max() < 1e-9
+        assert np.abs(numeric.pop(name)).max() < 1e-9
+    errors = {name: gradcheck.rel_error(analytic[name], numeric[name])
+              for name in analytic}
+    assert max(errors.values()) < 1e-6, errors
 
 
 def test_parameter_count_matches_hand_sum():

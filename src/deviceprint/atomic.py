@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 
 
 def write_atomic(path, data):
@@ -51,8 +51,9 @@ class Record:
 
     The file must start with `magic`. Each read takes the next field and
     is checked against the end of the file; `end` checks that nothing is
-    left. Every failure is a FormatError naming the path and `kind`, the
-    format's name in messages.
+    left, and `build` also checks the values. Every failure is a
+    FormatError naming the path and `kind`, the format's name in
+    messages.
     """
 
     def __init__(self, path, magic, kind):
@@ -98,3 +99,13 @@ class Record:
         left = len(self._raw) - self._pos
         if left:
             self._fail(f"{left} bytes after the end of the {self.kind}")
+
+    def build(self, cls, *args, **kwargs):
+        """`end`, then cls(*args, **kwargs): the value the fields make. A
+        ShapeError from the class's own check of those values (an entry
+        out of range, say) is refused like a layout fault."""
+        self.end()
+        try:
+            return cls(*args, **kwargs)
+        except ShapeError as exc:
+            self._fail(str(exc))

@@ -85,12 +85,19 @@ class CorpusManifest:
         return Path(self.base_dir) / entry.path
 
     def validate(self):
-        paths = [e.path for e in self.entries]
-        if len(set(paths)) != len(paths):
-            raise ConfigError("manifest paths are not unique")
+        """Every split is train or test, and no two paths share a file
+        stem, which names a clip's artifacts (`mfcc/<stem>.mfcc`, ...):
+        a repeated path, or `a/x.wav` beside `b/x.wav`, would share them."""
+        by_stem = {}
         for e in self.entries:
             if e.split not in ("train", "test"):
                 raise ConfigError(f"bad split {e.split!r} in manifest")
+            stem = Path(e.path).stem
+            if stem in by_stem:
+                raise ConfigError(f"manifest paths {by_stem[stem]!r} and "
+                                  f"{e.path!r} would share the artifacts "
+                                  f"of file stem {stem!r}")
+            by_stem[stem] = e.path
 
 
 # ---------------------------------------------------------------------------

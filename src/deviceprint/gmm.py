@@ -387,8 +387,7 @@ def load_gmm(path):
     record = Record(path, GMM_MAGIC, "mixture")
     g, m = record.ints(2, least=1)
     arrays = [record.array(shape) for shape in ((g,), (g, m), (g, m))]
-    record.end()
-    return DiagGmm(*arrays)
+    return record.build(DiagGmm, *arrays)
 
 
 def save_sgmm(path, tensor):
@@ -399,6 +398,5 @@ def save_sgmm(path, tensor):
 def load_sgmm(path):
     record = Record(path, SGMM_MAGIC, "feature tensor")
     data = record.array(record.ints(3, least=1))
-    record.end()
-    return SgmmTensor(data=data, n_components=data.shape[1], seg_frames=0,
-                      relevance=0.0)
+    return record.build(SgmmTensor, data=data, n_components=data.shape[1],
+                        seg_frames=0, relevance=0.0)

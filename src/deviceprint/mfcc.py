@@ -208,7 +208,6 @@ def save_mfcc(path, mfcc):
 def load_mfcc(path, frame_cfg=None, mel_cfg=None):
     record = Record(path, MFCC_MAGIC, "MFCC record")
     coeffs = record.array(record.ints(2, least=1))
-    record.end()
-    return MfccMatrix(coeffs=coeffs,
-                      frame_config=frame_cfg or FrameConfig(),
-                      mel_config=mel_cfg or MelConfig())
+    return record.build(MfccMatrix, coeffs=coeffs,
+                        frame_config=frame_cfg or FrameConfig(),
+                        mel_config=mel_cfg or MelConfig())

@@ -11,7 +11,7 @@ from .layers import (BatchNorm3d, Dense, FlattenPerStep, MeanOverTime, ReLU,
                      softmax_cross_entropy)
 from .params import (Parameter, ParamStore, load_checkpoint, save_checkpoint,
                      uniform_fanin)
-from .recurrent import BiLstm, LstmParams
+from .recurrent import BiLstm
 
 __all__ = [
     "AdamState", "adam_step",
@@ -23,5 +23,5 @@ __all__ = [
     "softmax_cross_entropy",
     "Parameter", "ParamStore", "load_checkpoint", "save_checkpoint",
     "uniform_fanin",
-    "BiLstm", "LstmParams",
+    "BiLstm",
 ]

@@ -17,7 +17,7 @@ class AdamState:
     """First/second moment buffers plus the step counter.
 
     Packs `store` (see `ParamStore.pack`). `m` and `v` map each parameter
-    name to its view of `flat_m` and `flat_v`.
+    name to its slice of `flat_m` and `flat_v`, shaped like the parameter.
     """
 
     def __init__(self, store, alpha=1e-3, eps=1e-8):

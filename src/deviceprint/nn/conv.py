@@ -23,7 +23,7 @@ PointwiseExpansion then holds the expansion's parameters and passes its
 argument through. Conv3d and conv3d_forward/conv3d_backward are the
 oracle the fold is tested against.
 
-Pools are non-overlapping (stride must equal the window) and combine the
+Pools are non-overlapping (each steps by its window) and combine the
 window's offset slabs elementwise. The max-pool layer keeps its output and
 routes the gradient against those maxima instead of pooling again.
 
@@ -154,13 +154,6 @@ def conv3d_backward(grad_out, x, kernel, stride=1, padding=0):
             grad_out.sum(axis=(0, 2, 3, 4)))
 
 
-def _pool_window(window, stride):
-    window = _triple(window)
-    if stride is not None and _triple(stride) != window:
-        raise ShapeError(f"pool stride {stride} must equal its window {window}")
-    return window
-
-
 def _slabs(x, window):
     """Views of x, one per window offset in (dt, dh, dw) order.
 
@@ -175,18 +168,18 @@ def _slabs(x, window):
             for dh in range(window[1]) for dw in range(window[2])]
 
 
-def maxpool3d(x, window, stride=None):
-    """Per-window maximum; stride defaults to, and must equal, the window."""
-    slabs = _slabs(np.asarray(x, dtype=np.float64), _pool_window(window, stride))
+def maxpool3d(x, window):
+    """Per-window maximum over non-overlapping windows."""
+    slabs = _slabs(np.asarray(x, dtype=np.float64), _triple(window))
     out = slabs[0].copy()
     for slab in slabs[1:]:
         np.maximum(out, slab, out=out)
     return out
 
 
-def maxpool3d_backward(grad_out, x, window, stride=None):
+def maxpool3d_backward(grad_out, x, window):
     """Route each window's gradient to its maximum (first offset on ties)."""
-    window = _pool_window(window, stride)
+    window = _triple(window)
     x = np.asarray(x, dtype=np.float64)
     return _route_to_max(grad_out, x, maxpool3d(x, window), window)
 
@@ -205,9 +198,9 @@ def _route_to_max(grad_out, x, best, window):
     return grad_x
 
 
-def avgpool3d(x, window, stride=None):
-    """Per-window mean; stride defaults to, and must equal, the window."""
-    slabs = _slabs(np.asarray(x, dtype=np.float64), _pool_window(window, stride))
+def avgpool3d(x, window):
+    """Per-window mean over non-overlapping windows."""
+    slabs = _slabs(np.asarray(x, dtype=np.float64), _triple(window))
     out = slabs[0].copy()
     for slab in slabs[1:]:
         out += slab
@@ -215,8 +208,8 @@ def avgpool3d(x, window, stride=None):
     return out
 
 
-def avgpool3d_backward(grad_out, x, window, stride=None):
-    window = _pool_window(window, stride)
+def avgpool3d_backward(grad_out, x, window):
+    window = _triple(window)
     grad_x = np.zeros(np.shape(x))
     share = grad_out / (window[0] * window[1] * window[2])
     for grad_slab in _slabs(grad_x, window):
@@ -359,8 +352,8 @@ class ExpandedConv3d:
 
 
 class _Pool3d:
-    def __init__(self, window, stride=None):
-        self.window = _pool_window(window, stride)
+    def __init__(self, window):
+        self.window = _triple(window)
         self._x = None
         self._out = None
 

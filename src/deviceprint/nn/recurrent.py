@@ -4,17 +4,17 @@ Gates read the previous cell state through diagonal peephole weights; the
 output gate peeks at the freshly updated cell state. The hidden output is
 o_t * tanh(C_t).
 
-Each direction keeps its weights in four stacked blocks, and every named
-per-gate parameter is a view of one: the input weights `wx` [D, 4H] and
-recurrent weights `wh` [H, 4H] with the gates' columns in `SLOTS` order,
-the biases `b` [4H] likewise, and the peepholes `wp` [3, H] of gates i, f
-and o. A `BiLstm` allocates each block once for both directions, so it
-runs them in lockstep on [2, ...] arrays: one batched GEMM projects every
-step's input before the time loop, each step makes one recurrent GEMM for
-all four gates of both directions, and backward gathers every step's
-pre-activation gradient and makes the weight and input-gradient GEMMs
-once, after the loop. The tests keep a per-gate, one-direction cell as
-the reference it is checked against.
+Both directions share four stacked blocks, the direction first: the input
+weights `wx` [2, D, 4H] and recurrent weights `wh` [2, H, 4H] with the
+gates' columns in `SLOTS` order, the biases `b` [2, 4H] likewise, and the
+peepholes `wp` [2, 3, H] of gates i, f and o. Each block is one
+parameter, so a `BiLstm` runs the two directions in lockstep on [2, ...]
+arrays: one batched GEMM projects every step's input before the time
+loop, each step makes one recurrent GEMM for all four gates of both
+directions, and backward gathers every step's pre-activation gradient and
+makes the weight and input-gradient GEMMs once, after the loop. The tests
+keep a per-gate, one-direction cell, reading its weights from the
+blocks, as the reference it is checked against.
 """
 
 import numpy as np
@@ -22,10 +22,9 @@ import numpy as np
 from ..errors import ShapeError
 from .params import forward_state, uniform_fanin
 
-GATES = ("i", "f", "o", "c")  # parameter order, which fixes the checkpoint's
+GATES = ("i", "f", "o", "c")  # order of the initial draws
 SLOTS = ("i", "f", "c", "o")  # column order of the stacked blocks
 PEEPHOLES = ("i", "f", "o")
-BLOCKS = ("wx", "wh", "b", "wp")
 
 
 def _sigmoid(z):
@@ -36,69 +35,35 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _blocks(store, n, d_in, hidden):
-    """The four stacked weight blocks of n directions."""
-    return {"wx": store.block((n, d_in, 4 * hidden)),
-            "wh": store.block((n, hidden, 4 * hidden)),
-            "b": store.block((n, 4 * hidden)),
-            "wp": store.block((n, len(PEEPHOLES), hidden))}
-
-
-class LstmParams:
-    """All weights of one direction: per-gate input and recurrent matrices,
-    diagonal peephole vectors, and biases, each a view of the direction's
-    side of the stacked `blocks` (its own, unless a BiLstm shares its)."""
-
-    def __init__(self, store, prefix, d_in, hidden, rng=None, blocks=None,
-                 side=0):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.d_in = d_in
-        self.hidden = hidden
-        self.blocks = (blocks if blocks is not None
-                       else _blocks(store, 1, d_in, hidden))
-        self.side = side
-
-        def add(name, value, block, *index):
-            setattr(self, name, store.add(f"{prefix}.{name}", value,
-                                          view=(self.blocks[block],
-                                                (side,) + index)))
-
-        for g in GATES:
-            k = SLOTS.index(g)
-            cols = slice(k * hidden, (k + 1) * hidden)
-            add(f"w_{g}x", uniform_fanin(rng, (d_in, hidden), d_in),
-                "wx", slice(None), cols)
-            add(f"w_{g}h", uniform_fanin(rng, (hidden, hidden), hidden),
-                "wh", slice(None), cols)
-            add(f"b_{g}", np.zeros(hidden), "b", cols)
-        for k, g in enumerate(PEEPHOLES):
-            add(f"w_{g}c", uniform_fanin(rng, (hidden,), hidden), "wp", k)
-
-
 class BiLstm:
+    """The four blocks as the parameters `<name>.wx`, `<name>.wh`,
+    `<name>.b` and `<name>.wp`, the forward direction at index 0.
+
+    The initial values are drawn per direction, per gate in `GATES` order
+    (input weights, then recurrent weights), then the `PEEPHOLES`; each
+    draw fills its gate's `SLOTS` columns. The biases start at zero.
+    """
+
     def __init__(self, store, name, d_in, hidden, rng=None):
-        blocks = _blocks(store, 2, d_in, hidden)
-        self.fwd = LstmParams(store, f"{name}.fwd", d_in, hidden, rng,
-                              blocks, side=0)
-        self.bwd = LstmParams(store, f"{name}.bwd", d_in, hidden, rng,
-                              blocks, side=1)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        wx = np.empty((2, d_in, 4 * hidden))
+        wh = np.empty((2, hidden, 4 * hidden))
+        wp = np.empty((2, len(PEEPHOLES), hidden))
+        for side in range(2):
+            for g in GATES:
+                k = SLOTS.index(g)
+                cols = slice(k * hidden, (k + 1) * hidden)
+                wx[side, :, cols] = uniform_fanin(rng, (d_in, hidden), d_in)
+                wh[side, :, cols] = uniform_fanin(rng, (hidden, hidden),
+                                                  hidden)
+            for k in range(len(PEEPHOLES)):
+                wp[side, k] = uniform_fanin(rng, (hidden,), hidden)
+        self.wx = store.add(f"{name}.wx", wx)
+        self.wh = store.add(f"{name}.wh", wh)
+        self.b = store.add(f"{name}.b", np.zeros((2, 4 * hidden)))
+        self.wp = store.add(f"{name}.wp", wp)
         self.hidden = hidden
         self._caches = None
-
-    def _weights(self, key):
-        """Block `key` of (fwd, bwd) as one [2, ...] array: a view while the
-        two directions are the two sides of one block, as __init__ builds
-        them, in either order; a stacked copy when they come from
-        different layers."""
-        f, b = self.fwd, self.bwd
-        if f.blocks is b.blocks and f.side != b.side:
-            return f.blocks[key].value[f.side::b.side - f.side]
-        return np.stack([f.blocks[key].value[f.side],
-                         b.blocks[key].value[b.side]])
-
-    def _accumulate(self, key, grad):
-        for p, g in zip((self.fwd, self.bwd), grad):
-            p.blocks[key].grad[p.side] += g
 
     def forward(self, seq, train=False):
         """Both directions over [B, T, D]; per-step outputs concatenated
@@ -117,9 +82,9 @@ class BiLstm:
             raise ShapeError("sequence must be [B, T, D] with T >= 1")
         batch, steps, d_in = seq.shape
         hid = self.hidden
-        wx, wh, bias, peep = (self._weights(k) for k in BLOCKS)
-        bias = bias.reshape(2, 4, hid, 1)
-        peep = peep[..., None]
+        wx, wh = self.wx.value, self.wh.value
+        bias = self.b.value.reshape(2, 4, hid, 1)
+        peep = self.wp.value[..., None]
         xs = np.empty((2, steps, batch, d_in))
         xs[0] = seq.transpose(1, 0, 2)
         xs[1] = seq[:, ::-1].transpose(1, 0, 2)
@@ -157,8 +122,8 @@ class BiLstm:
         xs, hs, cs, acts, tanh_cs = forward_state(self._caches, self)
         _, steps, batch, d_in = xs.shape
         hid = self.hidden
-        wx, wh, peep = (self._weights(k) for k in ("wx", "wh", "wp"))
-        peep = peep[..., None]
+        wx, wh = self.wx.value, self.wh.value
+        peep = self.wp.value[..., None]
         grad_h = np.empty((2, steps, hid, batch))
         grad_h[0] = grad_out[:, :, :hid].transpose(1, 2, 0)
         grad_h[1] = grad_out[:, ::-1, hid:].transpose(1, 2, 0)
@@ -188,19 +153,19 @@ class BiLstm:
             dc_next = dc * acts[:, t, 1]
             dc_next += (d[:, :2] * peep[:, :2]).sum(axis=1)
             dh_next = np.matmul(wh, d.reshape(2, 4 * hid, batch))
-        self._accumulate("wp", np.concatenate([
+        self.wp.grad += np.concatenate([
             np.einsum("dtkhb,dthb->dkh", dpre[:, :, :2], cs[:, :steps]),
             np.einsum("dthb,dthb->dh", dpre[:, :, 3], cs[:, 1:])[:, None]],
-            axis=1))
+            axis=1)
         # the other gradients sum over steps and batch in one GEMM each, on
         # one row per (step, sample)
         rows = steps * batch
         d_rows = dpre.transpose(0, 1, 4, 2, 3).reshape(2, rows, 4 * hid)
-        self._accumulate("b", d_rows.sum(axis=1))
-        self._accumulate("wx", np.matmul(
-            xs.reshape(2, rows, d_in).transpose(0, 2, 1), d_rows))
-        self._accumulate("wh", np.matmul(
-            hs[:, :steps].transpose(0, 2, 1, 3).reshape(2, hid, rows), d_rows))
+        self.b.grad += d_rows.sum(axis=1)
+        self.wx.grad += np.matmul(
+            xs.reshape(2, rows, d_in).transpose(0, 2, 1), d_rows)
+        self.wh.grad += np.matmul(
+            hs[:, :steps].transpose(0, 2, 1, 3).reshape(2, hid, rows), d_rows)
         dxs = np.matmul(d_rows, wx.transpose(0, 2, 1)).reshape(
             2, steps, batch, d_in)
         return (dxs[0] + dxs[1, ::-1]).transpose(1, 0, 2)

@@ -519,9 +519,10 @@ def stage_eval(cfg, log=print):
     the config's: a flipped `arch.attention` changes no array, so only
     the record shows it. The checkpoint must then fit the network array
     for array, and the train chain's records must be current before
-    anything is written. An unreadable arch.txt or checkpoint also drops
-    the checkpoint's sidecar, so the next `train` rewrites both instead
-    of calling them up to date.
+    anything is written. An unreadable arch.txt or checkpoint, or one
+    that does not fit the network (an older layout, say), also drops the
+    checkpoint's sidecar, so the next `train` rewrites both instead of
+    calling them up to date.
     """
     manifest = _require_manifest(cfg)
     ckpt, arch_path = _require([cfg.workdir / "model" / "model.ckpt",
@@ -550,6 +551,7 @@ def stage_eval(cfg, log=print):
     try:
         net.load_state(_read_cached("train", load_checkpoint, ckpt))
     except (ConfigError, ShapeError) as exc:
+        _sidecar(ckpt).unlink(missing_ok=True)
         raise DataError(f"{ckpt} does not fit the configured network "
                         f"({exc}); rerun `train`") from exc
     _require_stage(cfg, "train")

@@ -251,6 +251,22 @@ def test_manifest_round_trip_and_integrity(tmp_path):
         assert clip.sample_rate == back.sample_rate
 
 
+@pytest.mark.parametrize("second", ["b/clip00.wav", "a/clip00.wav",
+                                    "clip00.flac"],
+                         ids=["other_dir", "same_path", "other_suffix"])
+def test_manifest_refuses_paths_that_share_a_file_stem(tmp_path, second):
+    # per-clip artifacts are named by the file stem, so these two entries
+    # would share one .mfcc and one .sgmm
+    path = tmp_path / "m.tsv"
+    path.write_text("#sgmm-manifest v1 sr=16000 seed=1\n"
+                    "a/clip00.wav\tdevice00\ttrain\n"
+                    f"{second}\tdevice01\ttest\n")
+    with pytest.raises(ConfigError) as caught:
+        audio.read_manifest(path)
+    assert "'a/clip00.wav'" in str(caught.value)
+    assert repr(second) in str(caught.value)
+
+
 def test_manifest_header_required(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("a.wav\tdevice00\ttrain\n")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deviceprint import atomic, audio, gmm, mfcc, model, pipeline
+from deviceprint import atomic, audio, gmm, mfcc, model, nn, pipeline
 from deviceprint.cli import main
 from deviceprint.errors import (CacheError, ConfigError, DataError,
                                 DependencyError, FormatError, ShapeError)
@@ -563,6 +563,15 @@ def _append_byte(path):
     path.write_bytes(path.read_bytes() + b"\x00")
 
 
+def _last_value(value):
+    """Damage that keeps the layout: the file's last float64 becomes
+    `value`, which its dataclass's own check refuses."""
+    def damage(path):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] + np.array(value, "<f8").tobytes())
+    return damage
+
+
 def _first_clip(split, kind):
     """(cfg -> the first `split` clip's artifact of per-clip stage kind)."""
     def artifact(cfg):
@@ -591,25 +600,74 @@ def test_cli_reports_a_damaged_artifact_under_a_current_sidecar(
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("artifact, command, stage", [
-    (_first_clip("train", "mfcc"), "train-ubm", "mfcc"),
-    (_first_clip("train", "sgmm"), "train", "sgmm"),
-], ids=["mfcc", "sgmm"])
+@pytest.mark.parametrize("damage, artifact, command, stage", [
+    (_half, _first_clip("train", "mfcc"), "train-ubm", "mfcc"),
+    (_half, _first_clip("train", "sgmm"), "train", "sgmm"),
+    (_last_value(np.nan), _first_clip("train", "mfcc"), "train-ubm", "mfcc"),
+    (_last_value(1.5), _first_clip("train", "sgmm"), "train", "sgmm"),
+], ids=["mfcc", "sgmm", "mfcc_nan", "sgmm_out_of_range"])
 def test_damaged_artifact_is_rebuilt_by_the_stage_the_error_names(
-        trained_cfg, tmp_path, capsys, artifact, command, stage):
+        trained_cfg, tmp_path, capsys, damage, artifact, command, stage):
     path = _cfg_file(tmp_path, trained_cfg)
     metrics = trained_cfg.workdir / "eval" / "metrics.kv"
     assert main(["eval", "--config", path]) == 0
     undamaged = metrics.read_bytes()
-    _half(artifact(trained_cfg))
+    target = artifact(trained_cfg)
+    damage(target)
     capsys.readouterr()
     assert main([command, "--config", path]) == 1
-    assert f"; rerun `{stage}`" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]: {target}: ")
+    assert err.rstrip().endswith(f"; rerun `{stage}`")
     lines = []
     getattr(pipeline, f"stage_{stage}")(trained_cfg, log=lines.append)
     assert lines == [f"{stage}: 1 extracted, 17 up to date (18 clips)"]
     for later in ("train-ubm", "sgmm", "train", "eval"):
         assert main([later, "--config", path]) == 0
+    assert metrics.read_bytes() == undamaged
+
+
+def _per_gate_layout(arrays):
+    """A checkpoint's arrays in the older layout that stored each BiLSTM
+    direction's weights per gate (`bilstm.fwd.w_ix`, ...): per direction,
+    per gate in i, f, o, c order its input weights, recurrent weights and
+    bias, then the i, f and o peepholes."""
+    hid = arrays["bilstm.wp"].shape[2]
+    slot = {"i": 0, "f": 1, "c": 2, "o": 3}  # column order of the blocks
+    older = {}
+    for name, value in arrays.items():
+        if name == "bilstm.wx":
+            for side, prefix in enumerate(("bilstm.fwd", "bilstm.bwd")):
+                for g in "ifoc":
+                    cols = slice(slot[g] * hid, (slot[g] + 1) * hid)
+                    older[f"{prefix}.w_{g}x"] = arrays["bilstm.wx"][side, :, cols]
+                    older[f"{prefix}.w_{g}h"] = arrays["bilstm.wh"][side, :, cols]
+                    older[f"{prefix}.b_{g}"] = arrays["bilstm.b"][side, cols]
+                for k, g in enumerate("ifo"):
+                    older[f"{prefix}.w_{g}c"] = arrays["bilstm.wp"][side, k]
+        elif not name.startswith("bilstm."):
+            older[name] = value
+    return older
+
+
+def test_checkpoint_of_the_older_layout_is_retrained(trained_cfg, tmp_path,
+                                                     capsys):
+    # the sidecar keys train's inputs, not the checkpoint's layout, so eval
+    # must drop it for the next train to rebuild the checkpoint
+    path = _cfg_file(tmp_path, trained_cfg)
+    metrics = trained_cfg.workdir / "eval" / "metrics.kv"
+    assert main(["eval", "--config", path]) == 0
+    undamaged = metrics.read_bytes()
+    ckpt = trained_cfg.workdir / "model" / "model.ckpt"
+    nn.save_checkpoint(ckpt, _per_gate_layout(nn.load_checkpoint(ckpt)))
+    capsys.readouterr()
+    assert main(["eval", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [eval]: ") and "rerun `train`" in err
+    lines = []
+    pipeline.stage_train(trained_cfg, log=lines.append)
+    assert lines[0].startswith("train: 3 epochs")
+    assert main(["eval", "--config", path]) == 0
     assert metrics.read_bytes() == undamaged
 
 

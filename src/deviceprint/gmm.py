@@ -70,22 +70,6 @@ class DiagGmm:
 
 
 @dataclass
-class SegmentedMfcc:
-    """Consecutive non-overlapping windows of t frames each, in time order."""
-
-    segments: list
-    seg_frames: int
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ShapeError("need at least one segment")
-        m = self.segments[0].shape[0]
-        for s in self.segments:
-            if s.shape != (m, self.seg_frames):
-                raise ShapeError("every segment must be (M, t)")
-
-
-@dataclass
 class SgmmTensor:
     """Temporal Gaussian-mean feature tensor of shape (M, G, T) in [0, 1]."""
 
@@ -100,7 +84,8 @@ class SgmmTensor:
             raise ShapeError("feature tensor must be (M, G, T)")
         if self.data.shape[1] != self.n_components:
             raise ShapeError("tensor G axis does not match n_components")
-        if np.any(self.data < 0.0) or np.any(self.data > 1.0):
+        # written so that a NaN fails it too
+        if not np.all((self.data >= 0.0) & (self.data <= 1.0)):
             raise ShapeError("tensor entries must lie in [0, 1]")
 
 
@@ -308,7 +293,7 @@ def map_adapt_means(ubm, segment, relevance):
 
 
 def _check_relevance(relevance):
-    if relevance < 0:
+    if not relevance >= 0:  # NaN fails it too
         raise ConfigError("relevance factor must be >= 0")
 
 
@@ -322,19 +307,6 @@ def _adapted_means(ubm, x, resp, relevance):
     with np.errstate(invalid="ignore", divide="ignore"):
         alpha = np.where(touched, occ / (occ + relevance), 0.0)
     return alpha[:, None] * posterior_means + (1.0 - alpha)[:, None] * ubm.means
-
-
-def segment_frames(mfcc, seg_frames):
-    """Cut an MFCC matrix into consecutive t-frame segments, dropping the tail."""
-    if seg_frames < 1:
-        raise ConfigError("seg_frames must be >= 1")
-    n = mfcc.n_frames
-    if n < seg_frames:
-        raise TooShortError(f"{n} frames cannot fill a {seg_frames}-frame segment")
-    n_segments = n // seg_frames
-    segments = [mfcc.coeffs[:, i * seg_frames:(i + 1) * seg_frames]
-                for i in range(n_segments)]
-    return SegmentedMfcc(segments=segments, seg_frames=seg_frames)
 
 
 def minmax_normalize(matrix):
@@ -352,14 +324,21 @@ def minmax_normalize(matrix):
 def extract_sgmm(ubm, mfcc, seg_frames, relevance):
     """Build the (M, G, T) temporal Gaussian-mean tensor for one clip.
 
-    Each segment is MAP-adapted, transposed to (M, G), min-max normalized
-    per feature row, and stacked along the third axis in segment order.
+    The clip is cut into consecutive seg_frames-frame segments, dropping
+    the tail. Each segment is MAP-adapted, transposed to (M, G), min-max
+    normalized per feature row, and stacked along the third axis in
+    segment order.
     The responsibilities of all the segments' frames come from one
     `_posteriors` pass; each segment is then adapted by the formula
     `map_adapt_means` applies, from its own rows of that pass.
     """
     _check_relevance(relevance)
-    n_segments = len(segment_frames(mfcc, seg_frames).segments)
+    if seg_frames < 1:
+        raise ConfigError("seg_frames must be >= 1")
+    n_segments = mfcc.n_frames // seg_frames
+    if n_segments < 1:
+        raise TooShortError(f"{mfcc.n_frames} frames cannot fill a "
+                            f"{seg_frames}-frame segment")
     if mfcc.n_ceps != ubm.n_dims:
         raise ShapeError(f"segments must be ({ubm.n_dims}, t), got "
                          f"({mfcc.n_ceps}, {seg_frames})")

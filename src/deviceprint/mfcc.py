@@ -23,8 +23,9 @@ class FrameConfig:
     frame_shift_ms: float = 64.0
 
     def __post_init__(self):
-        if not 0 < self.frame_shift_ms <= self.frame_len_ms:
-            raise ConfigError("need 0 < frame_shift_ms <= frame_len_ms")
+        if not 0 < self.frame_shift_ms <= self.frame_len_ms < np.inf:
+            raise ConfigError("need 0 < frame_shift_ms <= frame_len_ms, "
+                              "both finite")
 
     def frame_len(self, sample_rate):
         n = int(round(self.frame_len_ms * sample_rate / 1000.0))

@@ -84,8 +84,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.initial_lr <= 0 or not 0 < self.lr_decay_factor < 1:
-            raise ConfigError("need initial_lr > 0 and decay factor in (0,1)")
+        if (not 0 < self.initial_lr < np.inf
+                or not 0 < self.lr_decay_factor < 1):
+            raise ConfigError("need initial_lr finite and > 0 and decay "
+                              "factor in (0,1)")
         if self.lr_decay_every < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("schedule counts must be >= 1")
 

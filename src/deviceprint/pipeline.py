@@ -3,6 +3,10 @@
 `STAGES` declares each cached stage once, a thin cache around the per-step
 functions that `model.run_recognition` composes in memory, and `_run` runs
 it; `small-sample` and `eval` read what those stages cached.
+A stage's record (`<dir>.hash` beside its output directory) holds the
+config lines of its chain, and it is the only place that says which
+config built an artifact: every reader of the workdir calls
+`_require_stage` before it opens a file, and gets the manifest back.
 A unit is skipped when its `.hash` sidecar holds the digest of its inputs'
 bytes and the config lines of its stage and every stage upstream, so
 reruns are no-ops and one seed gives byte-identical artifacts. Writes:
@@ -254,7 +258,8 @@ def _record(cfg, name):
 
 
 def _require_stage(cfg, name):
-    """Raise DependencyError unless `name`'s chain has current records."""
+    """The corpus manifest, once every stage of `name`'s chain has a
+    current record; DependencyError naming the first stale one before."""
     for stage in _chain(name):
         out_dir, current = _record(cfg, stage)
         recorded = _read_cache(_sidecar(out_dir))
@@ -264,6 +269,8 @@ def _require_stage(cfg, name):
             raise DependencyError(
                 f"`{stage}` has not completed in {cfg.workdir} under "
                 f"{', '.join(changed) or 'this config'}; run `{stage}`")
+    return read_manifest(_require([cfg.workdir / STAGES["synth"].outputs[0]],
+                                  "synth")[0])
 
 
 def _run(cfg, name, log, jobs=1):
@@ -272,8 +279,7 @@ def _run(cfg, name, log, jobs=1):
     per-clip stage's manifest, else its one unit's first output."""
     stage, manifest = STAGES[name], None
     if stage.upstream:
-        _require_stage(cfg, stage.upstream)
-        manifest = _require_manifest(cfg)
+        manifest = _require_stage(cfg, stage.upstream)
     out_dir, text = _record(cfg, name)
     recorded = _fresh(out_dir, text)
     per_clip = "{stem}" in stage.outputs[0]
@@ -324,11 +330,6 @@ def _require(paths, stage):
     return paths
 
 
-def _require_manifest(cfg):
-    path = _require([cfg.workdir / "corpus" / "manifest.tsv"], "synth")[0]
-    return read_manifest(path)
-
-
 def _clip_files(cfg, entries, kind):
     """Every entry's artifact from the per-clip stage `kind` (mfcc, sgmm)."""
     return _require([cfg.workdir / kind / (Path(e.path).stem + "." + kind)
@@ -351,25 +352,20 @@ def _fit(cfg, manifest, entries):
     return net, model_mod.train(net, train_set, cfg.train_config())
 
 
-def _key_values(text):
-    return dict(line.split(" = ", 1) for line in text.splitlines())
-
-
 def _read_arch(path):
-    """(input_dims, labels, {arch.* key: rendered value}) of an arch.txt
-    written by `train`; one without the `arch.*` lines yields {}."""
+    """(input_dims, labels) of an arch.txt written by `train`. Other keys
+    are ignored: older builds also wrote `n_classes` and the `arch.*`
+    lines, which the `train` stage record holds."""
     try:
-        fields = _key_values(path.read_text(encoding="utf-8"))
+        fields = dict(line.split(" = ", 1) for line in
+                      path.read_text(encoding="utf-8").splitlines())
         dims = tuple(int(v) for v in fields["input_dims"].split("/"))
-        n_classes = int(fields["n_classes"])
         labels = fields["labels"].split(",")
     except (UnicodeDecodeError, ValueError, KeyError) as exc:
         raise FormatError(f"{path}: malformed architecture record") from exc
-    if len(dims) != 3 or n_classes != len(labels):
-        raise FormatError(f"{path}: input_dims needs three extents and "
-                          f"n_classes must count the labels")
-    return dims, labels, {k: v for k, v in fields.items()
-                          if k.startswith("arch.")}
+    if len(dims) != 3:
+        raise FormatError(f"{path}: input_dims needs three extents")
+    return dims, labels
 
 
 def _write_metrics(out_dir, metrics, log):
@@ -449,15 +445,15 @@ def _sgmm_step(cfg, manifest, pending, jobs, log):
 def _train_step(cfg, manifest, pending, jobs, log):
     (ckpt, arch_path, history_path), _ = pending[0]
     net, history = _fit(cfg, manifest, manifest.for_split("train"))
-    arch, labels = net.arch, manifest.device_ids()
     save_checkpoint(ckpt, net.state_arrays())
     write_atomic(history_path, "epoch,lr,loss,train_acc\n" + "".join(
         f"{h['epoch']},{h['lr']},{h['loss']},{h['train_acc']}\n"
         for h in history))
-    m, g, t = arch.input_dims
+    # the train stage record holds the arch.* lines the network was built
+    # under; arch.txt keeps what only the data says
+    m, g, t = net.arch.input_dims
     write_atomic(arch_path, f"input_dims = {m}/{g}/{t}\n"
-                 f"n_classes = {arch.n_classes}\nlabels = {','.join(labels)}\n"
-                 f"{cfg.section_text('arch')}\n")
+                 f"labels = {','.join(manifest.device_ids())}\n")
     yield
     log(f"train: {len(history)} epochs, final loss {history[-1]['loss']:.4f}, "
         f"train accuracy {history[-1]['train_acc']:.4f}")
@@ -513,28 +509,24 @@ def stage_train(cfg, log=print):
 def stage_eval(cfg, log=print):
     """Evaluate the checkpoint on the test split, the only one it reads.
 
-    The test tensors and the manifest's labels must match the arch.txt
-    that `train` wrote with the checkpoint; they are checked before any
-    network is built, and so is the `arch.*` section it recorded against
-    the config's: a flipped `arch.attention` changes no array, so only
-    the record shows it. The checkpoint must then fit the network array
-    for array, and the train chain's records must be current before
-    anything is written. An unreadable arch.txt or checkpoint, or one
-    that does not fit the network (an older layout, say), also drops the
+    The records of the whole `train` chain must match the config before
+    any file is opened: they hold every config line the checkpoint was
+    built under, so a changed `arch.*` key or tensors rebuilt at another
+    `gmm.*` value raise DependencyError naming the stale stage and line.
+    Three checks no record covers follow, each before any network is
+    built or anything written: the manifest's labels against the arch.txt
+    that `train` wrote (a hand-edited manifest), every test tensor's shape
+    against its input dims (a replaced `.sgmm`), and the checkpoint's fit
+    to the network, array for array (an older layout). An unreadable
+    arch.txt or checkpoint, or one that does not fit, also drops the
     checkpoint's sidecar, so the next `train` rewrites both instead of
     calling them up to date.
     """
-    manifest = _require_manifest(cfg)
+    manifest = _require_stage(cfg, "train")
     ckpt, arch_path = _require([cfg.workdir / "model" / "model.ckpt",
                                 cfg.workdir / "model" / "arch.txt"], "train")
-    input_dims, label_order, trained_arch = _read_cached(
-        "train", _read_arch, arch_path, unit=ckpt)
-    current_arch = _key_values(cfg.section_text("arch"))
-    changed = [f"{key} = {value}" for key, value in trained_arch.items()
-               if current_arch.get(key) != value]
-    if changed:
-        raise DataError(f"checkpoint was trained with {', '.join(changed)}, "
-                        f"which the config no longer says; rerun `train`")
+    input_dims, label_order = _read_cached("train", _read_arch, arch_path,
+                                           unit=ckpt)
     if label_order != manifest.device_ids():
         raise DataError(f"checkpoint labels {','.join(label_order)} differ "
                         f"from the manifest's "
@@ -554,7 +546,6 @@ def stage_eval(cfg, log=print):
         _sidecar(ckpt).unlink(missing_ok=True)
         raise DataError(f"{ckpt} does not fit the configured network "
                         f"({exc}); rerun `train`") from exc
-    _require_stage(cfg, "train")
     metrics = model_mod.evaluate(net, test_set, label_order=label_order)
     _write_metrics(cfg.workdir / "eval", metrics, log)
     log(f"eval: accuracy {metrics.accuracy:.4f}")
@@ -562,8 +553,7 @@ def stage_eval(cfg, log=print):
 
 
 def stage_ablate(cfg, log=print):
-    _require_stage(cfg, "synth")
-    manifest = _require_manifest(cfg)
+    manifest = _require_stage(cfg, "synth")
     frame_cfgs = [FrameConfig(fl, fs) for fl, fs in cfg.get("ablate.frame_grid")]
     mel_cfgs = [dataclasses.replace(cfg.mel_config(), f_low=lo, f_high=hi)
                 for lo, hi in cfg.get("ablate.band_grid")]
@@ -580,8 +570,7 @@ def stage_small_sample(cfg, n_train, log=print):
     """The classifier trained on n_train `sgmm` tensors per device and
     evaluated on the test split's; the UBM behind every tensor is the
     `train-ubm` stage's, fit on the full train split."""
-    _require_stage(cfg, "sgmm")
-    manifest = _require_manifest(cfg)
+    manifest = _require_stage(cfg, "sgmm")
     train_entries, test_entries, _ = model_mod.small_sample_split(
         manifest, n_train, cfg.get("train.seed"))
     net, _ = _fit(cfg, manifest, train_entries)

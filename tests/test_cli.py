@@ -401,7 +401,7 @@ def test_mark_reports_unwritable_sidecar(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin.hash"]
 
 
-# --- eval reads the test split and checks the checkpoint's arch.txt ----------
+# --- eval checks the train chain's records, then the checkpoint's arch.txt ---
 
 @pytest.fixture(scope="module")
 def trained_tiny(tmp_path_factory):
@@ -459,24 +459,57 @@ def test_eval_rejects_edited_arch(trained_cfg, monkeypatch, key, value):
 
 
 def test_eval_rejects_sgmm_rebuilt_without_train(trained_cfg, monkeypatch):
+    # the train record holds the gmm.* lines its tensors were made under
     trained_cfg.set("gmm.components", 4)
     for stage in (pipeline.stage_train_ubm, pipeline.stage_sgmm):
         stage(trained_cfg, log=lambda *a: None)
     monkeypatch.setattr(model, "build_model", _no_build)
-    with pytest.raises(DataError, match="train"):
+    with pytest.raises(DependencyError) as caught:
         pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    assert "`train` has not completed" in str(caught.value)
+    assert "gmm.components = 4" in str(caught.value)
+    assert not (trained_cfg.workdir / "eval").exists()
 
 
 @pytest.mark.parametrize("text", [
-    b"", b"input_dims = 12/8\nn_classes = 3\nlabels = a,b,c\n",
-    b"input_dims = 12/8/x\nn_classes = 3\nlabels = a,b,c\n",
-    b"input_dims = 12/8/24\nn_classes = 2\nlabels = a,b,c\n",
+    b"", b"input_dims = 12/8\nlabels = a,b,c\n",
+    b"input_dims = 12/8/x\nlabels = a,b,c\n",
     b"input_dims: 12/8/24\n", b"\xff\xfe",
-], ids=["empty", "two_dims", "bad_extent", "count", "no_equals", "not_utf8"])
+], ids=["empty", "two_dims", "bad_extent", "no_equals", "not_utf8"])
 def test_eval_rejects_malformed_arch(trained_cfg, text):
     (trained_cfg.workdir / "model" / "arch.txt").write_bytes(text)
     with pytest.raises(FormatError):
         pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+
+
+def test_eval_opens_nothing_under_a_stale_train_record(trained_cfg,
+                                                      monkeypatch):
+    trained_cfg.set("train.epochs", 4)
+    monkeypatch.setattr(pipeline, "_read_arch", _forbidden)
+    monkeypatch.setattr(pipeline, "load_checkpoint", _forbidden)
+    monkeypatch.setattr(gmm, "load_sgmm", _forbidden)
+    with pytest.raises(DependencyError) as caught:
+        pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    assert "`train` has not completed" in str(caught.value)
+    assert "train.epochs = 4" in str(caught.value)
+
+
+def test_arch_of_an_older_build_evaluates_the_same(trained_cfg):
+    # older builds also wrote n_classes and the arch.* lines, which the
+    # train record holds; eval reads past them
+    work = trained_cfg.workdir
+    pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    metrics = (work / "eval" / "metrics.kv").read_bytes()
+    arch = work / "model" / "arch.txt"
+    dims, labels = arch.read_text().splitlines()
+    assert dims.startswith("input_dims = ") and labels.startswith("labels = ")
+    arch.write_text(f"{dims}\nn_classes = 3\n{labels}\n"
+                    f"{trained_cfg.section_text('arch')}\n")
+    lines = []
+    pipeline.stage_train(trained_cfg, log=lines.append)
+    assert lines == [f"train: up to date ({work / 'model' / 'model.ckpt'})"]
+    pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    assert (work / "eval" / "metrics.kv").read_bytes() == metrics
 
 
 def test_eval_requires_a_current_train_chain(trained_cfg):
@@ -520,13 +553,17 @@ def test_cli_eval_reports_stale_checkpoint(trained_cfg, tmp_path, capsys):
                                         ("arch.hidden", 16)])
 def test_eval_rejects_checkpoint_of_another_network(trained_cfg, monkeypatch,
                                                     key, value):
-    # arch.txt records the arch.* section; attention has no arrays, so
-    # only that record shows a flip
+    # the train record holds the arch.* section; attention has no arrays,
+    # so only that record shows a flip
     trained_cfg.set(key, value)
     monkeypatch.setattr(model, "build_model", _no_build)
-    with pytest.raises(DataError, match=key) as caught:
+    with pytest.raises(DependencyError) as caught:
         pipeline.stage_eval(trained_cfg, log=lambda *a: None)
-    assert str(caught.value).endswith("rerun `train`")
+    changed = next(line for line in
+                   trained_cfg.section_text("arch").splitlines()
+                   if line.startswith(key + " = "))
+    assert "`train` has not completed" in str(caught.value)
+    assert changed in str(caught.value)
     assert not (trained_cfg.workdir / "eval").exists()
 
 
@@ -605,7 +642,8 @@ def test_cli_reports_a_damaged_artifact_under_a_current_sidecar(
     (_half, _first_clip("train", "sgmm"), "train", "sgmm"),
     (_last_value(np.nan), _first_clip("train", "mfcc"), "train-ubm", "mfcc"),
     (_last_value(1.5), _first_clip("train", "sgmm"), "train", "sgmm"),
-], ids=["mfcc", "sgmm", "mfcc_nan", "sgmm_out_of_range"])
+    (_last_value(np.nan), _first_clip("train", "sgmm"), "train", "sgmm"),
+], ids=["mfcc", "sgmm", "mfcc_nan", "sgmm_out_of_range", "sgmm_nan"])
 def test_damaged_artifact_is_rebuilt_by_the_stage_the_error_names(
         trained_cfg, tmp_path, capsys, damage, artifact, command, stage):
     path = _cfg_file(tmp_path, trained_cfg)
@@ -625,6 +663,40 @@ def test_damaged_artifact_is_rebuilt_by_the_stage_the_error_names(
     for later in ("train-ubm", "sgmm", "train", "eval"):
         assert main([later, "--config", path]) == 0
     assert metrics.read_bytes() == undamaged
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_refuses_a_clip_length_that_is_not_finite(tiny_cfg, tmp_path,
+                                                        capsys, value):
+    tiny_cfg.set("corpus.clip_seconds", float(value))
+    path = _cfg_file(tmp_path, tiny_cfg)
+    assert main(["synth", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [synth]: ") and "clip_seconds" in err
+    assert "Traceback" not in err
+    assert not (tiny_cfg.workdir / "corpus").exists()
+
+
+@pytest.mark.parametrize("key, value, command, record, says", [
+    ("dsp.frame_len_ms", "inf", "mfcc", "mfcc.hash", "frame_len_ms"),
+    ("gmm.relevance", "nan", "sgmm", "sgmm.hash", "relevance"),
+    ("train.lr", "nan", "train", "model.hash", "initial_lr"),
+    ("train.lr", "inf", "train", "model.hash", "initial_lr"),
+], ids=["frame_len_inf", "relevance_nan", "lr_nan", "lr_inf"])
+def test_non_finite_config_value_is_refused_by_the_stage_that_reads_it(
+        trained_cfg, tmp_path, capsys, key, value, command, record, says):
+    # each check is written so that NaN fails it too; train-ubm, which
+    # the gmm section also keys, reruns under the value first
+    trained_cfg.set(key, float(value))
+    path = _cfg_file(tmp_path, trained_cfg)
+    if command == "sgmm":
+        assert main(["train-ubm", "--config", path]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]: ") and says in err
+    assert "Traceback" not in err
+    assert not (trained_cfg.workdir / record).exists()
 
 
 def _per_gate_layout(arrays):
@@ -672,16 +744,18 @@ def test_checkpoint_of_the_older_layout_is_retrained(trained_cfg, tmp_path,
 
 
 def test_eval_rejects_checkpoint_that_does_not_fit(trained_cfg):
-    # a record without the arch.* lines leaves the check to load_state
-    arch = trained_cfg.workdir / "model" / "arch.txt"
-    arch.write_text("".join(line + "\n" for line in
-                            arch.read_text().splitlines()
-                            if not line.startswith("arch.")))
-    trained_cfg.set("arch.hidden", 16)
+    # the records are current, so only load_state sees that the arrays
+    # are those of another network; the sidecar goes, so train retrains
+    model_dir = trained_cfg.workdir / "model"
+    dims, labels = pipeline._read_arch(model_dir / "arch.txt")
+    other = model.build_model(model.ArchitectureConfig(dims, len(labels),
+                                                       hidden=16))
+    nn.save_checkpoint(model_dir / "model.ckpt", other.state_arrays())
     with pytest.raises(DataError) as caught:
         pipeline.stage_eval(trained_cfg, log=lambda *a: None)
     assert str(caught.value).endswith("rerun `train`")
     assert isinstance(caught.value.__cause__, ShapeError)
+    assert not (model_dir / "model.ckpt.hash").exists()
     assert not (trained_cfg.workdir / "eval").exists()
 
 

@@ -213,23 +213,13 @@ def test_map_rejects_negative_relevance():
 
 # --- segmentation and normalization ----------------------------------------
 
-def test_segment_frames_drops_tail():
-    mat = _mfcc(np.arange(30).reshape(3, 10))
-    seg = gmm.segment_frames(mat, 3)
-    assert len(seg.segments) == 3
-    assert np.array_equal(np.hstack(seg.segments), mat.coeffs[:, :9])
-
-
-def test_segment_frames_whole_matrix():
-    mat = _mfcc(np.arange(12).reshape(3, 4))
-    seg = gmm.segment_frames(mat, 4)
-    assert len(seg.segments) == 1
-    assert np.array_equal(seg.segments[0], mat.coeffs)
-
-
 def test_segment_frames_too_short():
-    with pytest.raises(TooShortError):
-        gmm.segment_frames(_mfcc(np.zeros((3, 4))), 5)
+    # a clip must fill at least one segment of extract_sgmm's
+    ubm = _random_gmm(np.random.default_rng(16), 2, 3)
+    with pytest.raises(TooShortError, match="4 frames cannot fill a 5-frame"):
+        gmm.extract_sgmm(ubm, _mfcc(np.zeros((3, 4))), 5, 4.0)
+    with pytest.raises(ConfigError, match="seg_frames"):
+        gmm.extract_sgmm(ubm, _mfcc(np.zeros((3, 4))), 0, 4.0)
 
 
 def test_minmax_affine_row():
@@ -305,7 +295,7 @@ def test_sgmm_matches_per_segment_map_oracle(relevance):
     assert np.all(resp[:, 5] == 0.0)
     want = np.stack([gmm.minmax_normalize(
         gmm.map_adapt_means(ubm, segment, relevance).T)
-        for segment in gmm.segment_frames(mat, 6).segments], axis=2)
+        for segment in np.split(mat.coeffs[:, :36], 6, axis=1)], axis=2)
     got = gmm.extract_sgmm(ubm, mat, 6, relevance)
     assert got.data.shape == (4, 6, 6)
     assert np.array_equal(got.data, want)

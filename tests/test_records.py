@@ -136,9 +136,8 @@ def _write_config(path):
 
 
 def _write_arch(path):
-    path.write_text("input_dims = 12/8/5\nn_classes = 3\n"
-                    "labels = device00,device01,device02\n"
-                    + pipeline.PipelineConfig().section_text("arch") + "\n")
+    path.write_text("input_dims = 12/8/5\n"
+                    "labels = device00,device01,device02\n")
 
 
 # reader -> (write a valid file, read it)

@@ -14,9 +14,6 @@ def _build_parser():
     common.add_argument("--seed", type=int,
                         help="master seed; overrides corpus, gmm and train seeds")
     common.add_argument("--workdir", help="stage output directory")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for clip-level stages "
-                        "(clamped to 1..CPU count)")
 
     parser = argparse.ArgumentParser(
         prog="deviceprint",
@@ -67,9 +64,7 @@ def main(argv=None):
             return 0 if pipeline.stage_gradcheck() else 1
         cfg = _configure(args)
         stage = getattr(pipeline, "stage_" + args.command.replace("-", "_"))
-        if args.command in ("synth", "mfcc", "sgmm"):
-            stage(cfg, jobs=args.jobs)
-        elif args.command == "small-sample":
+        if args.command == "small-sample":
             stage(cfg, args.n_train)
         else:
             stage(cfg)

@@ -293,8 +293,8 @@ def map_adapt_means(ubm, segment, relevance):
 
 
 def _check_relevance(relevance):
-    if not relevance >= 0:  # NaN fails it too
-        raise ConfigError("relevance factor must be >= 0")
+    if not 0 <= relevance < np.inf:  # NaN fails it too
+        raise ConfigError("relevance factor must be finite and >= 0")
 
 
 def _adapted_means(ubm, x, resp, relevance):

@@ -442,6 +442,12 @@ def clip_mfcc(name, clip, sample_rate, frame_cfg, mel_cfg):
 
 def train_ubm(mfccs, gmm_cfg):
     """Pool all frames of the given clips and fit the background mixture."""
+    # EM stops once the log-likelihood gains less than em_tol, a test that
+    # a NaN or negative tolerance would never pass
+    if not gmm_cfg.em_tol >= 0:
+        raise ConfigError(f"em_tol must be >= 0, got {gmm_cfg.em_tol}")
+    if not mfccs:
+        raise DataError("no train clips to fit the background mixture on")
     pooled = np.concatenate([m.coeffs for m in mfccs], axis=1)
     return em_fit(pooled, gmm_cfg.n_components, max_iters=gmm_cfg.em_iters,
                   tol=gmm_cfg.em_tol, seed=gmm_cfg.seed)
@@ -554,6 +560,9 @@ def small_sample_split(manifest, n_train_per_class, select_seed=0):
     full training split as its pool, the way background models are reused
     across enrollments.
     """
+    if n_train_per_class < 1:
+        raise ConfigError(f"n_train must be at least 1 clip per device, "
+                          f"got {n_train_per_class}")
     rng = np.random.default_rng(select_seed)
     truncated = []
     for device in manifest.device_ids():

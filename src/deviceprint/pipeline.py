@@ -24,7 +24,7 @@ entries that feed one read their default from it.
 import dataclasses
 import hashlib
 from collections import Counter
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +32,7 @@ from . import gmm as gmm_mod
 from . import mfcc as mfcc_mod
 from . import model as model_mod
 from .atomic import write_atomic
-from .audio import map_jobs, read_manifest, read_wav, synth_corpus
+from .audio import read_manifest, read_wav, synth_corpus
 from .errors import (CacheError, ConfigError, DataError, DependencyError,
                      FormatError, ShapeError)
 from .mfcc import FrameConfig, MelConfig
@@ -239,8 +239,8 @@ class _Stage(NamedTuple):
     upstream: str    # the stage whose outputs it reads
     outputs: tuple   # paths under the workdir; "{stem}" makes them per clip
     inputs: object   # (cfg, manifest) -> per unit, a tuple of files or text
-    step: object     # (cfg, manifest, pending, jobs, log) -> yields once
-                     # per pending unit, in order, after writing its outputs
+    step: object     # (cfg, manifest, pending, log) -> yields once per
+                     # pending unit, in order, after writing its outputs
 
 
 def _chain(name):
@@ -273,7 +273,7 @@ def _require_stage(cfg, name):
                                   "synth")[0])
 
 
-def _run(cfg, name, log, jobs=1):
+def _run(cfg, name, log):
     """Bring stage `name` up to date, as the module docstring sets out; a
     per-clip unit's outputs are named after its last input. Returns a
     per-clip stage's manifest, else its one unit's first output."""
@@ -294,7 +294,7 @@ def _run(cfg, name, log, jobs=1):
         _fresh(outs[0], digests[outs[0]]) and all(map(Path.exists, outs)))]
     if pending:
         _sidecar(out_dir).unlink(missing_ok=True)
-        steps = stage.step(cfg, manifest, pending, jobs, log)
+        steps = stage.step(cfg, manifest, pending, log)
         for outs, _ in pending:
             _sidecar(outs[0]).unlink(missing_ok=True)
             next(steps)
@@ -375,14 +375,14 @@ def _write_metrics(out_dir, metrics, log):
     log(metrics.report())
 
 
-def _synth_step(cfg, manifest, pending, jobs, log):
+def _synth_step(cfg, manifest, pending, log):
     (path,), _ = pending[0]
     manifest = synth_corpus(
         *map(cfg.get, ("corpus.devices", "corpus.clips",
                        "corpus.train_fraction", "corpus.sample_rate",
                        "corpus.seed")), path.parent,
         clip_seconds=cfg.get("corpus.clip_seconds"),
-        noise_level=cfg.get("corpus.noise_level"), jobs=jobs)
+        noise_level=cfg.get("corpus.noise_level"))
     yield
     log(f"synth: wrote {len(manifest.entries)} clips to {path.parent}")
     counts = Counter((e.device_id, e.split) for e in manifest.entries)
@@ -392,28 +392,19 @@ def _synth_step(cfg, manifest, pending, jobs, log):
     log(f"synth: manifest {path}")
 
 
-# module-level jobs, so they can cross a process pool boundary
-def _mfcc_job(wav_path, sample_rate, frame_cfg, mel_cfg):
-    return model_mod.clip_mfcc(wav_path, read_wav(wav_path), sample_rate,
-                               frame_cfg, mel_cfg)
-
-
-def _sgmm_job(mfcc_path, ubm, gmm_cfg):
-    return gmm_mod.extract_sgmm(
-        ubm, _read_cached("mfcc", mfcc_mod.load_mfcc, mfcc_path),
-        gmm_cfg.seg_frames, gmm_cfg.relevance)
-
-
-def _mfcc_step(cfg, manifest, pending, jobs, log):
-    job = partial(_mfcc_job, sample_rate=manifest.sample_rate,
-                  frame_cfg=cfg.frame_config(), mel_cfg=cfg.mel_config())
-    cepstra = map_jobs(job, [wav for _, (wav,) in pending], jobs)
+# like synth_corpus, a per-clip step computes every pending clip before it
+# writes the first: writing each one as soon as it is done measured slower
+def _mfcc_step(cfg, manifest, pending, log):
+    frame_cfg, mel_cfg = cfg.frame_config(), cfg.mel_config()
+    cepstra = [model_mod.clip_mfcc(wav, read_wav(wav), manifest.sample_rate,
+                                   frame_cfg, mel_cfg)
+               for _, (wav,) in pending]
     for ((path,), _), result in zip(pending, cepstra):
         mfcc_mod.save_mfcc(path, result)
         yield
 
 
-def _ubm_step(cfg, manifest, pending, jobs, log):
+def _ubm_step(cfg, manifest, pending, log):
     (ubm_path,), mfcc_paths = pending[0]
     feats = [_read_cached("mfcc", mfcc_mod.load_mfcc, path,
                           cfg.frame_config(), cfg.mel_config())
@@ -431,18 +422,19 @@ def _ubm_step(cfg, manifest, pending, jobs, log):
         log(f"  iter {i}: total log-likelihood {ll:.2f}")
 
 
-def _sgmm_step(cfg, manifest, pending, jobs, log):
+def _sgmm_step(cfg, manifest, pending, log):
     _, (ubm_path, _) = pending[0]
-    job = partial(_sgmm_job,
-                  ubm=_read_cached("train-ubm", gmm_mod.load_gmm, ubm_path),
-                  gmm_cfg=cfg.gmm_config())
-    tensors = map_jobs(job, [src for _, (_, src) in pending], jobs)
+    ubm = _read_cached("train-ubm", gmm_mod.load_gmm, ubm_path)
+    gmm_cfg = cfg.gmm_config()
+    tensors = [gmm_mod.extract_sgmm(
+        ubm, _read_cached("mfcc", mfcc_mod.load_mfcc, src),
+        gmm_cfg.seg_frames, gmm_cfg.relevance) for _, (_, src) in pending]
     for ((path,), _), result in zip(pending, tensors):
         gmm_mod.save_sgmm(path, result)
         yield
 
 
-def _train_step(cfg, manifest, pending, jobs, log):
+def _train_step(cfg, manifest, pending, log):
     (ckpt, arch_path, history_path), _ = pending[0]
     net, history = _fit(cfg, manifest, manifest.for_split("train"))
     save_checkpoint(ckpt, net.state_arrays())
@@ -486,20 +478,20 @@ STAGES = {
 }
 
 
-def stage_synth(cfg, jobs=1, log=print):
-    return _run(cfg, "synth", log, jobs)
+def stage_synth(cfg, log=print):
+    return _run(cfg, "synth", log)
 
 
-def stage_mfcc(cfg, jobs=1, log=print):
-    return _run(cfg, "mfcc", log, jobs)
+def stage_mfcc(cfg, log=print):
+    return _run(cfg, "mfcc", log)
 
 
 def stage_train_ubm(cfg, log=print):
     return _run(cfg, "train-ubm", log)
 
 
-def stage_sgmm(cfg, jobs=1, log=print):
-    return _run(cfg, "sgmm", log, jobs)
+def stage_sgmm(cfg, log=print):
+    return _run(cfg, "sgmm", log)
 
 
 def stage_train(cfg, log=print):

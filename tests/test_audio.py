@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -221,15 +219,6 @@ def test_corpus_deterministic(tmp_path):
     assert text_a == text_b
 
 
-def test_corpus_parallel_matches_sequential(tmp_path):
-    m1 = audio.synth_corpus(2, 3, 0.5, 8000, seed=9,
-                            out_dir=tmp_path / "seq", clip_seconds=0.4)
-    m2 = audio.synth_corpus(2, 3, 0.5, 8000, seed=9,
-                            out_dir=tmp_path / "par", clip_seconds=0.4, jobs=2)
-    for e1, e2 in zip(m1.entries, m2.entries):
-        assert m1.resolve(e1).read_bytes() == m2.resolve(e2).read_bytes()
-
-
 def test_device_firs_separated(tmp_path):
     profiles = audio.select_device_profiles(5, 16000, seed=0)
     responses = [20 * np.log10(np.abs(np.fft.rfft(p.fir, 512)) + 1e-12)
@@ -288,14 +277,6 @@ def test_manifest_not_utf8(tmp_path):
                      b"a.wav\tdevice\xff\ttrain\n")
     with pytest.raises(FormatError):
         audio.read_manifest(path)
-
-
-def test_worker_count_clamps_to_cpu_count():
-    n_cpu = os.cpu_count() or 1
-    assert audio.worker_count(0) == 1
-    assert audio.worker_count(-3) == 1
-    assert audio.worker_count(10 ** 6) == n_cpu
-    assert audio.worker_count(1) == 1
 
 
 def test_corpus_rejects_bad_parameters(tmp_path):

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
@@ -85,6 +89,8 @@ def test_mfcc_counts_match_manifest(tiny_cfg, capsys):
     assert "18 extracted" in out
     files = sorted((tiny_cfg.workdir / "mfcc").glob("*.mfcc"))
     assert len(files) == len(manifest.entries)
+    # cepstra and .hash per clip
+    assert len(list((tiny_cfg.workdir / "mfcc").iterdir())) == 18 * 2
     # re-extraction is byte-identical and skipped as up to date
     payloads = {f.name: f.read_bytes() for f in files}
     pipeline.stage_mfcc(tiny_cfg)
@@ -209,6 +215,9 @@ def _build_tensors(cfg):
 
 def test_small_sample_stage(tiny_cfg, capsys):
     _build_tensors(tiny_cfg)
+    # each clip's outputs and its .hash sidecar
+    assert len(list((tiny_cfg.workdir / "sgmm").iterdir())) == 18 * (
+        len(pipeline.STAGES["sgmm"].outputs) + 1)
     metrics = pipeline.stage_small_sample(tiny_cfg, 3, log=lambda *a: None)
     assert 0.0 <= metrics.accuracy <= 1.0
     assert (tiny_cfg.workdir / "small_sample" / "metrics.kv").exists()
@@ -279,40 +288,6 @@ def test_small_sample_stage_reads_only_the_cached_tensors(tiny_cfg,
     assert 0.0 <= metrics.accuracy <= 1.0
 
 
-def test_sgmm_jobs_match_sequential(tiny_cfg):
-    for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
-                  pipeline.stage_train_ubm):
-        stage(tiny_cfg, log=lambda *a: None)
-    sgmm_dir = tiny_cfg.workdir / "sgmm"
-
-    def snapshot():
-        return {f.name: f.read_bytes() for f in sorted(sgmm_dir.iterdir())}
-
-    pipeline.stage_sgmm(tiny_cfg, jobs=1, log=lambda *a: None)
-    sequential = snapshot()
-    # each clip's outputs and its .hash sidecar
-    assert len(sequential) == 18 * (len(pipeline.STAGES["sgmm"].outputs) + 1)
-    shutil.rmtree(sgmm_dir)
-    pipeline.stage_sgmm(tiny_cfg, jobs=2, log=lambda *a: None)
-    assert snapshot() == sequential
-
-
-def test_mfcc_jobs_match_sequential(tiny_cfg):
-    # each pool worker builds its own filterbank and DCT cache
-    pipeline.stage_synth(tiny_cfg, log=lambda *a: None)
-    mfcc_dir = tiny_cfg.workdir / "mfcc"
-
-    def snapshot():
-        return {f.name: f.read_bytes() for f in sorted(mfcc_dir.iterdir())}
-
-    pipeline.stage_mfcc(tiny_cfg, jobs=1, log=lambda *a: None)
-    sequential = snapshot()
-    assert len(sequential) == 18 * 2  # cepstra and .hash per clip
-    shutil.rmtree(mfcc_dir)
-    pipeline.stage_mfcc(tiny_cfg, jobs=2, log=lambda *a: None)
-    assert snapshot() == sequential
-
-
 def test_cli_train_ubm_rejects_zero_em_iters(tmp_path, capsys):
     cfg = pipeline.parse_config_text(TINY)
     cfg.set("gmm.em_iters", 0)
@@ -324,6 +299,33 @@ def test_cli_train_ubm_rejects_zero_em_iters(tmp_path, capsys):
     assert main(["train-ubm", "--config", path, "--workdir", str(work)]) == 1
     assert "error [train-ubm]" in capsys.readouterr().err
     assert not (work / "ubm" / "ubm.dgmm.hash").exists()
+
+
+@pytest.mark.parametrize("keep", ["header", "test"])
+def test_cli_train_ubm_refuses_a_manifest_without_train_clips(
+        trained_cfg, tmp_path, capsys, keep):
+    # keep the header line and, for "test", the test split's entries
+    manifest = trained_cfg.workdir / "corpus" / "manifest.tsv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for i, line in enumerate(lines)
+                                if i == 0 or keep in line.split()))
+    path = _cfg_file(tmp_path, trained_cfg)
+    assert main(["train-ubm", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [train-ubm]: ") and "train clips" in err
+    assert "Traceback" not in err
+    assert not (trained_cfg.workdir / "ubm.hash").exists()
+
+
+@pytest.mark.parametrize("n_train", ["-1", "0"])
+def test_cli_small_sample_refuses_a_train_count_below_one(
+        trained_cfg, tmp_path, capsys, n_train):
+    path = _cfg_file(tmp_path, trained_cfg)
+    assert main(["small-sample", "--config", path, "--n-train", n_train]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [small-sample]: ") and "n_train" in err
+    assert "Traceback" not in err
+    assert not (trained_cfg.workdir / "small_sample").exists()
 
 
 def test_config_not_utf8(tmp_path, capsys):
@@ -679,10 +681,14 @@ def test_synth_refuses_a_clip_length_that_is_not_finite(tiny_cfg, tmp_path,
 
 @pytest.mark.parametrize("key, value, command, record, says", [
     ("dsp.frame_len_ms", "inf", "mfcc", "mfcc.hash", "frame_len_ms"),
+    ("gmm.em_tol", "nan", "train-ubm", "ubm.hash", "em_tol"),
+    ("gmm.em_tol", "-1", "train-ubm", "ubm.hash", "em_tol"),
     ("gmm.relevance", "nan", "sgmm", "sgmm.hash", "relevance"),
+    ("gmm.relevance", "inf", "sgmm", "sgmm.hash", "relevance"),
     ("train.lr", "nan", "train", "model.hash", "initial_lr"),
     ("train.lr", "inf", "train", "model.hash", "initial_lr"),
-], ids=["frame_len_inf", "relevance_nan", "lr_nan", "lr_inf"])
+], ids=["frame_len_inf", "em_tol_nan", "em_tol_neg", "relevance_nan",
+        "relevance_inf", "lr_nan", "lr_inf"])
 def test_non_finite_config_value_is_refused_by_the_stage_that_reads_it(
         trained_cfg, tmp_path, capsys, key, value, command, record, says):
     # each check is written so that NaN fails it too; train-ubm, which
@@ -890,6 +896,71 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
         atomic.write_atomic(target, b"new bytes, twice as long as the old")
     assert target.read_bytes() == b"old bytes"
     assert list(tmp_path.iterdir()) == [target]
+
+
+# every stage the CLI runs, in chain order
+CHAIN = ("synth", "mfcc", "train_ubm", "sgmm", "train", "eval")
+KILLED = 75
+
+
+def _file_digests(root):
+    """sha256 of every file under root by relative path, leaving out the
+    temp files that a killed write leaves behind."""
+    return {path.relative_to(root): hashlib.sha256(path.read_bytes()).digest()
+            for path in root.rglob("*")
+            if path.is_file() and path.suffix != ".tmp"}
+
+
+def _die_at_write(cfg, stage, n):
+    """Run `stage` and call os._exit just before its nth os.replace, as a
+    process killed mid-stage would; run it in a child process."""
+    calls, replace = itertools.count(1), os.replace
+    os.replace = lambda *args: (os._exit(KILLED) if next(calls) == n
+                                else replace(*args))
+    getattr(pipeline, f"stage_{stage}")(cfg, log=_quiet)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs forked child processes")
+def test_a_stage_killed_at_a_write_is_completed_by_rerunning(tiny_cfg,
+                                                             tmp_path,
+                                                             monkeypatch):
+    # a clean build keeps the workdir as each stage found it and counts
+    # the stage's os.replace calls
+    found, writes = {}, {}
+    replace = os.replace
+    for stage in CHAIN:
+        found[stage] = tmp_path / f"before_{stage}"
+        if tiny_cfg.workdir.exists():
+            shutil.copytree(tiny_cfg.workdir, found[stage])
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace",
+                          lambda *args: (calls.append(args), replace(*args)))
+            getattr(pipeline, f"stage_{stage}")(tiny_cfg, log=_quiet)
+        writes[stage] = len(calls)
+    built = _file_digests(tiny_cfg.workdir)
+    cfg = pipeline.PipelineConfig(dict(tiny_cfg.values))
+    cfg.set("paths.workdir", str(tmp_path / "killed"))
+    # kill each stage at its first, middle and last write, then rerun it
+    # and every later stage: the workdir must equal the clean build's
+    for i, stage in enumerate(CHAIN):
+        for n in sorted({1, (writes[stage] + 1) // 2, writes[stage]}):
+            shutil.rmtree(cfg.workdir, ignore_errors=True)
+            if found[stage].exists():
+                shutil.copytree(found[stage], cfg.workdir)
+            child = multiprocessing.get_context("fork").Process(
+                target=_die_at_write, args=(cfg, stage, n))
+            child.start()
+            child.join(timeout=60)
+            child.kill()  # only if it hangs; exitcode then stays None
+            assert child.exitcode == KILLED, (stage, n)
+            for later in CHAIN[i:]:
+                getattr(pipeline, f"stage_{later}")(cfg, log=_quiet)
+            rebuilt = _file_digests(cfg.workdir)
+            differ = sorted(str(path) for path in built.keys() | rebuilt.keys()
+                            if built.get(path) != rebuilt.get(path))
+            assert not differ, (stage, n, differ)
 
 
 def _forbidden(*args, **kwargs):

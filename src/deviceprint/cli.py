@@ -20,10 +20,8 @@ def _build_parser():
         description="Source recording-device recognition pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate the synthetic corpus")
-    p.add_argument("--devices", type=int, help="override corpus.devices")
-    p.add_argument("--clips", type=int, help="override corpus.clips")
+    sub.add_parser("synth", parents=[common],
+                   help="generate the synthetic corpus")
     sub.add_parser("mfcc", parents=[common],
                    help="extract cepstral features for every clip")
     sub.add_parser("train-ubm", parents=[common],
@@ -39,7 +37,7 @@ def _build_parser():
                        help="train on n clips per device, evaluate")
     p.add_argument("--n-train", type=int, default=5,
                    help="training clips kept per device")
-    sub.add_parser("gradcheck", parents=[common],
+    sub.add_parser("gradcheck",
                    help="finite-difference checks for every layer")
     return parser
 
@@ -51,9 +49,6 @@ def _configure(args):
     if args.seed is not None:
         for key in ("corpus.seed", "gmm.seed", "train.seed"):
             cfg.set(key, args.seed)
-    for name in ("devices", "clips"):  # synth only
-        if getattr(args, name, None) is not None:
-            cfg.set(f"corpus.{name}", getattr(args, name))
     return cfg
 
 

@@ -57,7 +57,8 @@ class MelConfig:
 
 @dataclass
 class MfccMatrix:
-    """Cepstral features: one column per frame, n_ceps rows."""
+    """Cepstral features: one column per frame, n_ceps rows. The configs
+    are those `extract_mfcc` ran with; `load_mfcc` gives None for both."""
 
     coeffs: np.ndarray
     frame_config: FrameConfig
@@ -206,9 +207,10 @@ def save_mfcc(path, mfcc):
                  + pack_float64(mfcc.coeffs))
 
 
-def load_mfcc(path, frame_cfg=None, mel_cfg=None):
+def load_mfcc(path):
+    """The cepstra of an MFCC1 file, which holds no frame or Mel config:
+    the matrix carries None for both (the `mfcc` stage record has them)."""
     record = Record(path, MFCC_MAGIC, "MFCC record")
     coeffs = record.array(record.ints(2, least=1))
-    return record.build(MfccMatrix, coeffs=coeffs,
-                        frame_config=frame_cfg or FrameConfig(),
-                        mel_config=mel_cfg or MelConfig())
+    return record.build(MfccMatrix, coeffs=coeffs, frame_config=None,
+                        mel_config=None)

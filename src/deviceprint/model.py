@@ -326,7 +326,8 @@ def evaluate(model, test_set, label_order=None,
 # ---------------------------------------------------------------------------
 
 class LogisticClassifier:
-    """Multinomial logistic regression by full-batch gradient descent.
+    """Multinomial logistic regression by full-batch gradient descent on
+    the network's `softmax_cross_entropy` plus an L2 penalty.
 
     Features are z-scored internally; the L2 penalty keeps degenerate or
     singular designs well-posed rather than erroring.
@@ -352,20 +353,14 @@ class LogisticClassifier:
         sd = x.std(axis=0)
         self._sd = np.where(sd < 1e-12, 1.0, sd)
         xz = (x - self._mu) / self._sd
-        n, d = xz.shape
         onehot = np.eye(n_classes)[y]
-        self.w = np.zeros((d, n_classes))
+        self.w = np.zeros((xz.shape[1], n_classes))
         self.b = np.zeros(n_classes)
         self.loss_history = []
         for _ in range(self.iters):
-            z = xz @ self.w + self.b
-            z -= z.max(axis=1, keepdims=True)
-            log_z = np.log(np.exp(z).sum(axis=1, keepdims=True))
-            probs = np.exp(z - log_z)
-            loss = (-np.sum(onehot * (z - log_z)) / n
-                    + 0.5 * self.l2 * np.sum(self.w ** 2))
-            self.loss_history.append(float(loss))
-            delta = (probs - onehot) / n
+            loss, delta = softmax_cross_entropy(xz @ self.w + self.b, onehot)
+            self.loss_history.append(
+                float(loss + 0.5 * self.l2 * np.sum(self.w ** 2)))
             self.w -= self.lr * (xz.T @ delta + self.l2 * self.w)
             self.b -= self.lr * delta.sum(axis=0)
         return self

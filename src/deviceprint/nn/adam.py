@@ -16,8 +16,8 @@ BETA2 = 0.999
 class AdamState:
     """First/second moment buffers plus the step counter.
 
-    Packs `store` (see `ParamStore.pack`). `m` and `v` map each parameter
-    name to its slice of `flat_m` and `flat_v`, shaped like the parameter.
+    Packs `store` (see `ParamStore.pack`); `flat_m` and `flat_v` are laid
+    out like its `flat_value`, so `store.views` gives them per parameter.
     """
 
     def __init__(self, store, alpha=1e-3, eps=1e-8):
@@ -27,8 +27,6 @@ class AdamState:
         store.pack()
         self.flat_m = np.zeros_like(store.flat_value)
         self.flat_v = np.zeros_like(store.flat_value)
-        self.m = store.views(self.flat_m)
-        self.v = store.views(self.flat_v)
 
 
 def adam_step(store, state):

@@ -18,36 +18,27 @@ def _attention_weights(x):
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
-def self_attention_forward(x):
-    """x is [B, T, D]; returns the output and the backward cache."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[-1] < 1:
-        raise ShapeError("self-attention expects [B, T, D] with D >= 1")
-    weights = _attention_weights(x)
-    return weights @ x, (x, weights)
-
-
-def self_attention_backward(grad_out, cache):
-    x, weights = cache
-    scale = 1.0 / np.sqrt(x.shape[-1])
-    grad_v = weights.transpose(0, 2, 1) @ grad_out
-    grad_w = grad_out @ x.transpose(0, 2, 1)
-    # softmax backward, row-wise over the last axis
-    grad_scores = weights * (grad_w - (grad_w * weights).sum(axis=-1, keepdims=True))
-    grad_q = grad_scores @ x * scale
-    grad_k = grad_scores.transpose(0, 2, 1) @ x * scale
-    return grad_q + grad_k + grad_v
-
-
 class SelfAttention:
     def __init__(self):
         self._cache = None
 
     def forward(self, x, train=False):
-        out, cache = self_attention_forward(x)
-        self._cache = cache if train else None
-        return out
+        """x is [B, T, D]; a train-mode forward keeps x and the weights."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3 or x.shape[-1] < 1:
+            raise ShapeError("self-attention expects [B, T, D] with D >= 1")
+        weights = _attention_weights(x)
+        self._cache = (x, weights) if train else None
+        return weights @ x
 
     def backward(self, grad_out):
-        return self_attention_backward(grad_out,
-                                       forward_state(self._cache, self))
+        x, weights = forward_state(self._cache, self)
+        scale = 1.0 / np.sqrt(x.shape[-1])
+        grad_v = weights.transpose(0, 2, 1) @ grad_out
+        grad_w = grad_out @ x.transpose(0, 2, 1)
+        # softmax backward, row-wise over the last axis
+        grad_scores = weights * (
+            grad_w - (grad_w * weights).sum(axis=-1, keepdims=True))
+        grad_q = grad_scores @ x * scale
+        grad_k = grad_scores.transpose(0, 2, 1) @ x * scale
+        return grad_q + grad_k + grad_v

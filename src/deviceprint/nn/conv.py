@@ -208,15 +208,6 @@ def avgpool3d(x, window):
     return out
 
 
-def avgpool3d_backward(grad_out, x, window):
-    window = _triple(window)
-    grad_x = np.zeros(np.shape(x))
-    share = grad_out / (window[0] * window[1] * window[2])
-    for grad_slab in _slabs(grad_x, window):
-        grad_slab[...] = share
-    return grad_x
-
-
 class Conv3d:
     """Convolution layer owning its kernel and bias parameters."""
 
@@ -377,5 +368,8 @@ class AvgPool3d(_Pool3d):
     _pool = staticmethod(avgpool3d)
 
     def backward(self, grad_out):
-        return avgpool3d_backward(grad_out, forward_state(self._x, self),
-                                  self.window)
+        grad_x = np.zeros(np.shape(forward_state(self._x, self)))
+        share = grad_out / np.prod(self.window)
+        for grad_slab in _slabs(grad_x, self.window):
+            grad_slab[...] = share
+        return grad_x

@@ -48,9 +48,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def names(self):
-        return list(self._params)
-
     def views(self, flat):
         """name -> the reshaped slice of `flat`, a packed-size buffer, that
         sits where that parameter's value sits in `flat_value`."""

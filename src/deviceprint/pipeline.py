@@ -310,13 +310,13 @@ def _run(cfg, name, log):
     return manifest if per_clip else units[0][0][0]
 
 
-def _read_cached(stage, read, path, *args, unit=None):
-    """read(path, *args) of an artifact that `stage` wrote. A FormatError
+def _read_cached(stage, read, path, unit=None):
+    """read(path) of an artifact that `stage` wrote. A FormatError
     first unlinks the `.hash` sidecar that vouches for the file, the one
     of its unit's first output `unit` (path itself by default), so that
     the next run of `stage` rebuilds it; the error then names `stage`."""
     try:
-        return read(path, *args)
+        return read(path)
     except FormatError as exc:
         _sidecar(unit or path).unlink(missing_ok=True)
         raise FormatError(f"{exc}; rerun `{stage}`") from exc
@@ -406,8 +406,7 @@ def _mfcc_step(cfg, manifest, pending, log):
 
 def _ubm_step(cfg, manifest, pending, log):
     (ubm_path,), mfcc_paths = pending[0]
-    feats = [_read_cached("mfcc", mfcc_mod.load_mfcc, path,
-                          cfg.frame_config(), cfg.mel_config())
+    feats = [_read_cached("mfcc", mfcc_mod.load_mfcc, path)
              for path in mfcc_paths]
     gmm_cfg = cfg.gmm_config()
     ubm = model_mod.train_ubm(feats, gmm_cfg)

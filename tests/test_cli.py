@@ -188,17 +188,35 @@ def test_cli_main_error_paths(tmp_path, capsys):
     assert "error [mfcc]" in err and "synth" in err
 
 
-def test_cli_main_synth_device_override(tmp_path, capsys):
+def test_cli_corpus_size_from_the_config_carries_from_synth_to_mfcc(
+        tmp_path, capsys):
     cfg = pipeline.parse_config_text(TINY)
+    cfg.set("corpus.devices", 4)
     cfg.set("corpus.clips", 2)
     cfg.set("corpus.clip_seconds", 0.5)
-    path = _cfg_file(tmp_path, cfg)
-    code = main(["synth", "--config", path, "--workdir",
-                 str(tmp_path / "w"), "--devices", "4", "--seed", "3"])
-    assert code == 0
+    flags = ["--config", _cfg_file(tmp_path, cfg), "--workdir",
+             str(tmp_path / "w"), "--seed", "3"]
+    assert main(["synth"] + flags) == 0
     out = capsys.readouterr().out
-    assert "wrote 8 clips" in out
-    assert "device03" in out
+    assert "wrote 8 clips" in out and "device03" in out
+    assert main(["mfcc"] + flags) == 0
+    assert "8 extracted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--devices", "4"], ["synth", "--clips", "2"],
+    ["gradcheck", "--config", "pipeline.cfg"], ["gradcheck", "--seed", "3"],
+    ["gradcheck", "--workdir", "w"]],
+    ids=["synth_devices", "synth_clips", "gradcheck_config",
+         "gradcheck_seed", "gradcheck_workdir"])
+def test_cli_flags_no_stage_honours_are_usage_errors(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_gradcheck_exit_zero(capsys):
@@ -703,6 +721,47 @@ def test_non_finite_config_value_is_refused_by_the_stage_that_reads_it(
     assert err.startswith(f"error [{command}]: ") and says in err
     assert "Traceback" not in err
     assert not (trained_cfg.workdir / record).exists()
+
+
+# the stage that reads each config section; the gmm keys that only the
+# temporal tensors use are read by sgmm
+_READER = {"corpus": "synth", "dsp": "mfcc", "gmm": "train-ubm",
+           "arch": "train", "train": "train"}
+_SGMM_KEYS = ("gmm.seg_frames", "gmm.relevance")
+# edge values that are valid and run
+_VALID_EDGES = {("corpus.noise_level", "0"), ("dsp.f_low", "0"),
+                ("gmm.relevance", "0"), ("gmm.em_tol", "0"),
+                ("gmm.em_tol", "inf")}
+
+
+def _edge_cases():
+    """(key, value) for every numeric config key at its edges: floats at
+    nan, inf, -1 and 0, and the non-seed ints at 0 and -1."""
+    for key, (kind, *_) in pipeline.CONFIG_SCHEMA.items():
+        if kind == "float":
+            yield from ((key, value) for value in ("nan", "inf", "-1", "0"))
+        elif kind == "int" and not key.endswith(".seed"):
+            yield from ((key, value) for value in ("0", "-1"))
+
+
+@pytest.mark.parametrize("key, value", list(_edge_cases()),
+                         ids=[f"{k}={v}" for k, v in _edge_cases()])
+def test_config_edge_value_runs_or_is_refused_by_the_stage_that_reads_it(
+        trained_cfg, tmp_path, capsys, key, value):
+    kind = pipeline.CONFIG_SCHEMA[key][0]
+    trained_cfg.set(key, {"int": int, "float": float}[kind](value))
+    path = _cfg_file(tmp_path, trained_cfg)
+    command = "sgmm" if key in _SGMM_KEYS else _READER[key.split(".")[0]]
+    if command == "sgmm":
+        assert main(["train-ubm", "--config", path]) == 0
+    capsys.readouterr()
+    code = main([command, "--config", path])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if (key, value) in _VALID_EDGES:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1 and err.startswith(f"error [{command}]: "), err
 
 
 def _per_gate_layout(arrays):

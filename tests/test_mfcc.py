@@ -233,6 +233,7 @@ def test_mfcc_serialization_round_trip(tmp_path):
     mfcc.save_mfcc(path, mat)
     back = mfcc.load_mfcc(path)
     assert np.array_equal(back.coeffs, mat.coeffs)
+    assert back.frame_config is None and back.mel_config is None
     raw = bytearray(path.read_bytes())
     raw[0] = ord("X")
     bad = tmp_path / "bad.mfcc"

@@ -415,6 +415,49 @@ def test_baseline_degenerate_features_no_error():
     assert 0.0 <= clf.score(features, labels) <= 1.0
 
 
+def _logistic_reference(features, labels, n_classes, lr=0.5, iters=500,
+                        l2=1e-3):
+    """(w, b, loss history) of multinomial logistic regression by
+    full-batch gradient descent, its softmax written out by hand: the
+    reference LogisticClassifier.fit must match bit for bit."""
+    x = np.asarray(features, dtype=np.float64)
+    sd = x.std(axis=0)
+    xz = (x - x.mean(axis=0)) / np.where(sd < 1e-12, 1.0, sd)
+    n, d = xz.shape
+    onehot = np.eye(n_classes)[np.asarray(labels, dtype=np.intp)]
+    w, b, history = np.zeros((d, n_classes)), np.zeros(n_classes), []
+    for _ in range(iters):
+        z = xz @ w + b
+        z -= z.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(z).sum(axis=1, keepdims=True))
+        probs = np.exp(z - log_z)
+        loss = (-np.sum(onehot * (z - log_z)) / n
+                + 0.5 * l2 * np.sum(w ** 2))
+        history.append(float(loss))
+        delta = (probs - onehot) / n
+        w -= lr * (xz.T @ delta + l2 * w)
+        b -= lr * delta.sum(axis=0)
+    return w, b, history
+
+
+@pytest.mark.parametrize("seed, features, n_classes", [
+    (30, "random", None), (31, "constant", None), (32, "random", 6),
+    (33, "separable", None)])
+def test_baseline_matches_the_hand_written_loop_bit_for_bit(seed, features,
+                                                            n_classes):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(3), 12)
+    x = {"random": rng.standard_normal((36, 5)),
+         "constant": np.full((36, 5), 2.5),
+         "separable": labels[:, None] * 4.0 + rng.normal(0, 0.3, (36, 5)),
+         }[features]
+    clf = model.LogisticClassifier().fit(x, labels, n_classes)
+    w, b, history = _logistic_reference(x, labels, n_classes or 3)
+    assert clf.w.tobytes() == w.tobytes()
+    assert clf.b.tobytes() == b.tobytes()
+    assert clf.loss_history == history
+
+
 def test_ablate_degenerate_grid(toy_corpus):
     rows = model.ablate_frontend([mfcc.FrameConfig(256, 64)],
                                  [mfcc.MelConfig(26, 0, 8000, 12)],

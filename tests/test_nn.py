@@ -691,8 +691,7 @@ def test_sigmoid_matches_the_masked_formula_bit_for_bit():
 def test_attention_single_step_identity():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 1, 5))
-    out, _ = nn.self_attention_forward(x)
-    assert np.allclose(out, x)
+    assert np.allclose(nn.SelfAttention().forward(x, train=True), x)
     assert np.allclose(nn.SelfAttention().forward(x), x)
 
 
@@ -844,12 +843,12 @@ def test_adam_zero_gradient_no_move():
     # once moments carry history, a zero gradient only decays them
     p.grad[:] = 1.0
     nn.adam_step(store, state)
-    m_before = state.m["w"].copy()
-    v_before = state.v["w"].copy()
+    m_before = state.flat_m.copy()
+    v_before = state.flat_v.copy()
     p.zero_grad()
     nn.adam_step(store, state)
-    assert np.allclose(state.m["w"], 0.9 * m_before)
-    assert np.allclose(state.v["w"], 0.999 * v_before)
+    assert np.allclose(state.flat_m, 0.9 * m_before)
+    assert np.allclose(state.flat_v, 0.999 * v_before)
 
 
 def test_adam_quadratic_convergence():
@@ -887,10 +886,12 @@ def test_adam_step_matches_the_per_parameter_loop():
             p.grad[...] = q.grad[...] = rng.standard_normal(p.value.shape)
         nn.adam_step(flat.params, state)
         _adam_loop(loop.params, m, v, step, alpha=0.002)
+    flat_m, flat_v = (flat.params.views(buf)
+                      for buf in (state.flat_m, state.flat_v))
     for (name, p), (_, q) in zip(flat.params.items(), loop.params.items()):
         assert p.value.tobytes() == q.value.tobytes()
-        assert state.m[name].tobytes() == m[name].tobytes()
-        assert state.v[name].tobytes() == v[name].tobytes()
+        assert flat_m[name].tobytes() == m[name].tobytes()
+        assert flat_v[name].tobytes() == v[name].tobytes()
 
 
 # --- parameters and checkpoints -----------------------------------------------------
@@ -899,12 +900,13 @@ def test_packed_store_parameters_and_moments_are_flat_views():
     arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=5)
     store = model.build_model(arch, seed=26).params
     state = nn.AdamState(store)
+    m, v = store.views(state.flat_m), store.views(state.flat_v)
     for name, p in store.items():
         assert np.shares_memory(p.value, store.flat_value)
         assert np.shares_memory(p.grad, store.flat_grad)
-        assert np.shares_memory(state.m[name], state.flat_m)
-        assert np.shares_memory(state.v[name], state.flat_v)
-        assert state.m[name].shape == state.v[name].shape == p.value.shape
+        assert np.shares_memory(m[name], state.flat_m)
+        assert np.shares_memory(v[name], state.flat_v)
+        assert m[name].shape == v[name].shape == p.value.shape
     store.flat_grad[:] = 1.0
     store.zero_grads()
     assert not any(p.grad.any() for _, p in store.items())
@@ -917,7 +919,7 @@ def test_packed_store_takes_no_more_parameters():
     assert np.array_equal(first.value, np.arange(3.0))
     with pytest.raises(ConfigError, match="packed"):
         store.add("b", np.zeros(2))
-    assert store.names() == ["a"]
+    assert [name for name, _ in store.items()] == ["a"]
 
 
 def test_load_state_writes_through_the_flat_views():
@@ -990,14 +992,15 @@ def test_checkpoint_with_adam_suffixes(tmp_path):
     p.grad[:] = 0.5
     nn.adam_step(store, state)
     arrays = {name: par.value for name, par in store.items()}
-    for name in store.names():
-        arrays[f"{name}.m"] = state.m[name]
-        arrays[f"{name}.v"] = state.v[name]
+    m, v = store.views(state.flat_m), store.views(state.flat_v)
+    for name, _ in store.items():
+        arrays[f"{name}.m"] = m[name]
+        arrays[f"{name}.v"] = v[name]
     arrays["adam.step"] = np.float64(state.step_count)
     path = tmp_path / "with_adam.ckpt"
     nn.save_checkpoint(path, arrays)
     back = nn.load_checkpoint(path)
-    assert np.array_equal(back["fc.w.m"], state.m["fc.w"])
+    assert np.array_equal(back["fc.w.m"], m["fc.w"])
     assert back["adam.step"] == 1.0
 
 

@@ -3,7 +3,7 @@ log compression, and an orthonormal DCT-II, with configurable band limits
 and frame geometry."""
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -57,14 +57,16 @@ class MelConfig:
 
 @dataclass
 class MfccMatrix:
-    """Cepstral features: one column per frame, n_ceps rows. The configs
-    are those `extract_mfcc` ran with; `load_mfcc` gives None for both."""
+    """Cepstral features: one column per frame, n_ceps rows. The matrix
+    holds no frame or Mel config (the `mfcc` stage record does); a frame
+    and a Mel config passed after the coefficients are accepted and
+    dropped."""
 
     coeffs: np.ndarray
-    frame_config: FrameConfig
-    mel_config: MelConfig
+    frame_config: InitVar[FrameConfig] = None
+    mel_config: InitVar[MelConfig] = None
 
-    def __post_init__(self):
+    def __post_init__(self, frame_config, mel_config):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if self.coeffs.ndim != 2 or self.coeffs.shape[1] < 1:
             raise ShapeError("MFCC matrix must be 2-D with >= 1 frame")
@@ -194,8 +196,7 @@ def extract_mfcc(clip, frame_cfg, mel_cfg):
     fbank, dct = _mfcc_constants(mel_cfg, clip.sample_rate, mags.shape[-1])
     energies = mags @ fbank.T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    return MfccMatrix(coeffs=(log_energies @ dct.T).T,
-                      frame_config=frame_cfg, mel_config=mel_cfg)
+    return MfccMatrix((log_energies @ dct.T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +209,7 @@ def save_mfcc(path, mfcc):
 
 
 def load_mfcc(path):
-    """The cepstra of an MFCC1 file, which holds no frame or Mel config:
-    the matrix carries None for both (the `mfcc` stage record has them)."""
+    """The cepstra of an MFCC1 file, which holds no frame or Mel config
+    (the `mfcc` stage record has them)."""
     record = Record(path, MFCC_MAGIC, "MFCC record")
-    coeffs = record.array(record.ints(2, least=1))
-    return record.build(MfccMatrix, coeffs=coeffs, frame_config=None,
-                        mel_config=None)
+    return record.build(MfccMatrix, record.array(record.ints(2, least=1)))

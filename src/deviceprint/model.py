@@ -10,6 +10,15 @@ axes of each time step, flattens per step, and feeds the sequence to a
 bidirectional peephole LSTM with self-attention, mean temporal pooling and
 a dense softmax head. The time axis survives every stage unchanged, so
 the recurrent half always sees the feature tensor's own segment order.
+
+The network trains and infers in float32: its parameters, Adam moments,
+batch-norm statistics and every activation and gradient. `train` and
+`evaluate` cast the stacked feature tensors to float32 once per call, the
+loss of each batch comes back as a Python float, and the epoch loss sums
+those. Checkpoints hold float64 on disk, which is exact for float32
+values; a float64 checkpoint loads rounded to float32 once. A float64
+network (`build_model(..., dtype=np.float64)`) runs the same layer code
+and is what the whole-network gradient check builds.
 """
 
 from dataclasses import dataclass, field
@@ -103,12 +112,13 @@ def lr_schedule(initial_lr, decay_factor, decay_every, epoch):
 
 
 class C3dBiLstm:
-    """3D-conv spatial front half plus BiLSTM/attention temporal back half."""
+    """3D-conv spatial front half plus BiLSTM/attention temporal back half,
+    computing in `dtype`."""
 
-    def __init__(self, arch, seed=0):
+    def __init__(self, arch, seed=0, dtype=np.float32):
         arch.validate()
         self.arch = arch
-        self.params = ParamStore()
+        self.params = ParamStore(dtype)
         rng = np.random.default_rng(seed)
         c0, c1, c2 = arch.channels
         kt = arch.kernel_t
@@ -151,7 +161,7 @@ class C3dBiLstm:
         so each activation is freed once the next layer has consumed it,
         and a backward afterwards raises DependencyError.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.params.dtype)
         m, g, t = self.arch.input_dims
         if x.shape[1:] != (1, t, m, g):
             raise ShapeError(f"expected input [B, 1, {t}, {m}, {g}], "
@@ -182,6 +192,8 @@ class C3dBiLstm:
 
     def load_state(self, arrays):
         """Restore state_arrays(); every name and shape is checked first.
+        Each array is cast to the network's dtype, so a float64
+        checkpoint loads into a float32 network rounded once.
 
         An array this network does not have (one of another architecture,
         or optimizer moments) raises ConfigError, as a missing one does.
@@ -198,19 +210,23 @@ class C3dBiLstm:
                 raise ShapeError(f"checkpoint shape mismatch for {name!r}")
         for name, p in self.params.items():
             p.value[...] = arrays[name]
+        dtype = self.params.dtype
         for name, bn in (("bn1", self.bn1), ("bn2", self.bn2)):
-            bn.running_mean = arrays[f"{name}.running_mean"].copy()
-            bn.running_var = arrays[f"{name}.running_var"].copy()
+            bn.running_mean = arrays[f"{name}.running_mean"].astype(dtype)
+            bn.running_var = arrays[f"{name}.running_var"].astype(dtype)
 
 
-def build_model(arch, seed=0):
-    return C3dBiLstm(arch, seed=seed)
+def build_model(arch, seed=0, dtype=np.float32):
+    """The float32 network; tests ask for `dtype=np.float64` to check it
+    against float64 oracles."""
+    return C3dBiLstm(arch, seed=seed, dtype=dtype)
 
 
-def stack_features(feature_set):
+def stack_features(feature_set, dtype=np.float64):
     """List of (SgmmTensor, label) -> (X [B,1,T,M,G], y [B]); each (M, G, T)
-    tensor becomes a [1, T, M, G] input block."""
-    xs = np.stack([t.data.transpose(2, 0, 1)[None] for t, _ in feature_set])
+    tensor becomes a [1, T, M, G] input block of X, cast to `dtype`."""
+    xs = np.stack([t.data.transpose(2, 0, 1)[None] for t, _ in feature_set],
+                  dtype=dtype)
     ys = np.array([label for _, label in feature_set], dtype=np.intp)
     return xs, ys
 
@@ -227,12 +243,13 @@ def train(model, train_set, cfg):
     """
     if not train_set:
         raise DataError("training set is empty")
-    xs, ys = stack_features(train_set)
+    dtype = model.params.dtype
+    xs, ys = stack_features(train_set, dtype)
     n_classes = model.arch.n_classes
     missing = set(range(n_classes)) - set(int(v) for v in np.unique(ys))
     if missing:
         raise DataError(f"no training samples for classes {sorted(missing)}")
-    eye = np.eye(n_classes)
+    eye = np.eye(n_classes, dtype=dtype)
     state = AdamState(model.params, alpha=cfg.initial_lr)
     rng = np.random.default_rng(cfg.seed)
     history = []
@@ -311,7 +328,7 @@ def evaluate(model, test_set, label_order=None,
     """
     if not test_set:
         raise DataError("test set is empty")
-    xs, ys = stack_features(test_set)
+    xs, ys = stack_features(test_set, model.params.dtype)
     logits = np.concatenate([model.forward(xs[start:start + batch_size],
                                            train=False)
                              for start in range(0, len(ys), batch_size)])

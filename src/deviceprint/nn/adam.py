@@ -3,7 +3,10 @@ its elementwise square.
 
 The moments live in two flat buffers laid out like the store's packed
 values, so a step makes each of its array operations once over the whole
-store instead of once per parameter.
+store instead of once per parameter. They take the store's dtype, so a
+float32 network keeps float32 moments beside its float32 weights and
+updates both in float32; only the step count and the bias corrections are
+Python floats.
 """
 
 import numpy as np

@@ -1,8 +1,11 @@
 """Scaled dot-product self-attention with Q = K = V = input.
 
 No learned projections: attention weights are softmax(x x^T / sqrt(D))
-row-wise over time, applied back to the input sequence.
+row-wise over time, applied back to the input sequence. It computes in
+its input's dtype.
 """
+
+import math
 
 import numpy as np
 
@@ -12,7 +15,7 @@ from .params import forward_state
 
 def _attention_weights(x):
     d = x.shape[-1]
-    scores = x @ x.transpose(0, 2, 1) / np.sqrt(d)
+    scores = x @ x.transpose(0, 2, 1) / math.sqrt(d)
     scores -= scores.max(axis=-1, keepdims=True)
     expd = np.exp(scores)
     return expd / expd.sum(axis=-1, keepdims=True)
@@ -24,7 +27,7 @@ class SelfAttention:
 
     def forward(self, x, train=False):
         """x is [B, T, D]; a train-mode forward keeps x and the weights."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.ndim != 3 or x.shape[-1] < 1:
             raise ShapeError("self-attention expects [B, T, D] with D >= 1")
         weights = _attention_weights(x)
@@ -33,7 +36,7 @@ class SelfAttention:
 
     def backward(self, grad_out):
         x, weights = forward_state(self._cache, self)
-        scale = 1.0 / np.sqrt(x.shape[-1])
+        scale = 1.0 / math.sqrt(x.shape[-1])
         grad_v = weights.transpose(0, 2, 1) @ grad_out
         grad_w = grad_out @ x.transpose(0, 2, 1)
         # softmax backward, row-wise over the last axis

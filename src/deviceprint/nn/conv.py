@@ -30,7 +30,14 @@ routes the gradient against those maxima instead of pooling again.
 Layers keep backward state (the conv's input, the pools' input and
 output) only from a train-mode forward; with train=False nothing
 activation-sized outlives the call, and a backward raises DependencyError.
+
+Every buffer takes the dtype of the arrays it is made from, and the
+functional forms cast their input to the kernel's: a float32 layer
+computes in float32 and a float64 oracle in float64, through the same
+code.
 """
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,7 +70,8 @@ def _pad5(x, pads):
     if not any(pads):
         return x
     xp = np.zeros(x.shape[:2] + tuple(n + 2 * p
-                                      for n, p in zip(x.shape[2:], pads)))
+                                      for n, p in zip(x.shape[2:], pads)),
+                  dtype=x.dtype)
     xp[(Ellipsis,) + tuple(slice(p, p + n)
                            for n, p in zip(x.shape[2:], pads))] = x
     return xp
@@ -78,7 +86,7 @@ def _patch_matrices(xp, ksize, stride):
     st, sh, sw = stride
     cols = sliding_window_view(xp, ksize, axis=(2, 3, 4))[
         :, :, ::st, ::sh, ::sw].transpose(0, 1, 5, 6, 7, 2, 3, 4)
-    buf = np.empty(cols.shape[1:])
+    buf = np.empty(cols.shape[1:], dtype=xp.dtype)
     mat = buf.reshape(int(np.prod(cols.shape[1:5])), -1)
     for sample in cols:
         np.copyto(buf, sample)
@@ -89,7 +97,8 @@ def _correlate(xp, kernel, stride):
     """Unpadded, bias-free cross-correlation of xp with kernel."""
     ksize = kernel.shape[2:]
     out = np.empty(xp.shape[:1] + kernel.shape[:1] + tuple(
-        (n - k) // s + 1 for n, k, s in zip(xp.shape[2:], ksize, stride)))
+        (n - k) // s + 1 for n, k, s in zip(xp.shape[2:], ksize, stride)),
+        dtype=xp.dtype)
     kmat = kernel.reshape(kernel.shape[0], -1)
     oflat = out.reshape(len(out), len(kmat), -1)
     for o, mat in zip(oflat, _patch_matrices(xp, ksize, stride)):
@@ -99,9 +108,9 @@ def _correlate(xp, kernel, stride):
 
 def conv3d_forward(x, kernel, bias, stride=1, padding=0):
     """Linear 3D cross-correlation plus bias (activation applied elsewhere)."""
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
+    kernel = np.asarray(kernel)
+    x = np.asarray(x, dtype=kernel.dtype)
+    bias = np.asarray(bias, dtype=kernel.dtype)
     if x.ndim != 5 or kernel.ndim != 5:
         raise ShapeError("conv3d expects 5-D input and kernel")
     if x.shape[1] != kernel.shape[1] or bias.shape != (kernel.shape[0],):
@@ -117,7 +126,8 @@ def conv3d_forward(x, kernel, bias, stride=1, padding=0):
 def _kernel_grad(grad_out, xp, kernel_shape, stride):
     """Sum over samples of grad_out times the patch matrix transposed."""
     gflat = grad_out.reshape(grad_out.shape[0], kernel_shape[0], -1)
-    grad_k = np.zeros((kernel_shape[0], int(np.prod(kernel_shape[1:]))))
+    grad_k = np.zeros((kernel_shape[0], math.prod(kernel_shape[1:])),
+                      dtype=grad_out.dtype)
     for g, mat in zip(gflat, _patch_matrices(xp, kernel_shape[2:], stride)):
         grad_k += g @ mat.T
     return grad_k.reshape(kernel_shape)
@@ -129,7 +139,8 @@ def _input_grad(grad_out, x_shape, kernel, stride, padding):
     # window that lands on the unpadded input.
     ksize = kernel.shape[2:]
     dilated = np.zeros(grad_out.shape[:2] + tuple(
-        n + 2 * p + k - 1 for n, p, k in zip(x_shape[2:], padding, ksize)))
+        n + 2 * p + k - 1 for n, p, k in zip(x_shape[2:], padding, ksize)),
+        dtype=grad_out.dtype)
     dilated[(Ellipsis,) + tuple(
         slice(k - 1, k - 1 + o * s, s)
         for k, o, s in zip(ksize, grad_out.shape[2:], stride))] = grad_out
@@ -145,9 +156,9 @@ def conv3d_backward(grad_out, x, kernel, stride=1, padding=0):
     The kernel gradient comes first, so the padded input is freed before
     the input gradient's dilated buffer is built.
     """
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    kernel = np.asarray(kernel)
+    x = np.asarray(x, dtype=kernel.dtype)
+    grad_out = np.asarray(grad_out, dtype=kernel.dtype)
     stride, padding = _triple(stride), _triple(padding)
     grad_k = _kernel_grad(grad_out, _pad5(x, padding), kernel.shape, stride)
     return (_input_grad(grad_out, x.shape, kernel, stride, padding), grad_k,
@@ -170,7 +181,7 @@ def _slabs(x, window):
 
 def maxpool3d(x, window):
     """Per-window maximum over non-overlapping windows."""
-    slabs = _slabs(np.asarray(x, dtype=np.float64), _triple(window))
+    slabs = _slabs(np.asarray(x), _triple(window))
     out = slabs[0].copy()
     for slab in slabs[1:]:
         np.maximum(out, slab, out=out)
@@ -180,7 +191,7 @@ def maxpool3d(x, window):
 def maxpool3d_backward(grad_out, x, window):
     """Route each window's gradient to its maximum (first offset on ties)."""
     window = _triple(window)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     return _route_to_max(grad_out, x, maxpool3d(x, window), window)
 
 
@@ -189,7 +200,7 @@ def _route_to_max(grad_out, x, best, window):
     whose maximum is NaN matches no slab and routes nothing."""
     pending = np.ones(best.shape, dtype=bool)
     hit = np.empty(best.shape, dtype=bool)
-    grad_x = np.zeros(x.shape)
+    grad_x = np.zeros(x.shape, dtype=x.dtype)
     for slab, grad_slab in zip(_slabs(x, window), _slabs(grad_x, window)):
         np.equal(slab, best, out=hit)
         hit &= pending
@@ -200,7 +211,7 @@ def _route_to_max(grad_out, x, best, window):
 
 def avgpool3d(x, window):
     """Per-window mean over non-overlapping windows."""
-    slabs = _slabs(np.asarray(x, dtype=np.float64), _triple(window))
+    slabs = _slabs(np.asarray(x), _triple(window))
     out = slabs[0].copy()
     for slab in slabs[1:]:
         out += slab
@@ -259,9 +270,9 @@ class PointwiseExpansion:
         return grad_out
 
 
-def _padded_ones(spatial, padding):
+def _padded_ones(spatial, padding, dtype):
     """[1, 1, *spatial] ones, zero-padded: where a padded input is real."""
-    return _pad5(np.ones((1, 1) + tuple(spatial)), padding)
+    return _pad5(np.ones((1, 1) + tuple(spatial), dtype=dtype), padding)
 
 
 class ExpandedConv3d:
@@ -304,7 +315,7 @@ class ExpandedConv3d:
         return self.w.value.reshape(self.w.value.shape[:2] + (-1,))
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.w.value.dtype)
         if x.ndim != 5 or x.shape[1] != 1:
             raise ShapeError(f"expected a 1-channel 5-D input, got {x.shape}")
         for n, k, p in zip(x.shape[2:], self.kernel, self.padding):
@@ -314,7 +325,7 @@ class ExpandedConv3d:
             (len(self.b.value), 2) + self.kernel)
         xp = _pad5(x, self.padding)
         out = _correlate(xp, folded[:, :1], (1, 1, 1))
-        border = _correlate(_padded_ones(x.shape[2:], self.padding),
+        border = _correlate(_padded_ones(x.shape[2:], self.padding, x.dtype),
                             folded[:, 1:], (1, 1, 1))
         border += self.b.value.reshape(1, -1, 1, 1, 1)
         out += border
@@ -323,7 +334,7 @@ class ExpandedConv3d:
 
     def backward(self, grad_out):
         """Accumulate the expansion's and this conv's parameter gradients."""
-        grad_out = np.asarray(grad_out, dtype=np.float64)
+        grad_out = np.asarray(grad_out, dtype=self.w.value.dtype)
         xp = forward_state(self._xp, self)
         spatial = tuple(n - 2 * p for n, p in zip(xp.shape[2:], self.padding))
         shape = (len(self.b.value), 1) + self.kernel
@@ -331,7 +342,8 @@ class ExpandedConv3d:
         # [C_out, 2, K]: dKx and dKb
         grad_folded = np.concatenate([
             _kernel_grad(grad_out, xp, shape, (1, 1, 1)),
-            _kernel_grad(grad_sum, _padded_ones(spatial, self.padding),
+            _kernel_grad(grad_sum, _padded_ones(spatial, self.padding,
+                                                grad_sum.dtype),
                          shape, (1, 1, 1))], axis=1).reshape(shape[0], 2, -1)
         rows = self._expansion_rows()
         self.w.grad += (rows.T @ grad_folded).reshape(self.w.value.shape)
@@ -368,8 +380,9 @@ class AvgPool3d(_Pool3d):
     _pool = staticmethod(avgpool3d)
 
     def backward(self, grad_out):
-        grad_x = np.zeros(np.shape(forward_state(self._x, self)))
-        share = grad_out / np.prod(self.window)
+        x = forward_state(self._x, self)
+        grad_x = np.zeros(x.shape, dtype=x.dtype)
+        share = grad_out / math.prod(self.window)
         for grad_slab in _slabs(grad_x, self.window):
             grad_slab[...] = share
         return grad_x

@@ -1,5 +1,11 @@
 """Batch norm, activations, dense head, reshaping glue, and the
-softmax cross-entropy loss."""
+softmax cross-entropy loss.
+
+Each layer computes in the dtype of its parameters and input, and batch
+norm keeps its running statistics in its store's dtype. The loss is
+computed in the logits' dtype and returned as a Python float, so a caller
+that sums losses over batches sums Python floats.
+"""
 
 import weakref
 
@@ -44,8 +50,8 @@ class BatchNorm3d:
     def __init__(self, store, name, channels, momentum=0.9):
         self.gamma = store.add(f"{name}.gamma", np.ones(channels))
         self.beta = store.add(f"{name}.beta", np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.running_mean = np.zeros(channels, dtype=store.dtype)
+        self.running_var = np.ones(channels, dtype=store.dtype)
         self.momentum = momentum
         self._cache = None
 
@@ -162,9 +168,11 @@ def softmax_cross_entropy(logits, labels):
 
     labels must be one-hot rows matching the logits shape. The softmax is
     stabilized by subtracting the row max; the gradient is (S - y) / B.
+    Both are computed in the logits' dtype (labels are cast to it), and
+    the loss is returned as a Python float.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    logits = np.asarray(logits)
+    labels = np.asarray(labels, dtype=logits.dtype)
     if logits.shape != labels.shape or logits.ndim != 2:
         raise LabelError("logits and one-hot labels must both be (B, K)")
     if (np.any((labels != 0.0) & (labels != 1.0))

@@ -1,5 +1,12 @@
 """Named trainable parameters with gradients, checkpoint I/O, and the
-check every layer's backward makes on the state its forward kept."""
+check every layer's backward makes on the state its forward kept.
+
+A store holds one dtype: every value, gradient and packed buffer is of
+it, and the layers built on the store compute in it. The network trains
+in float32; the gradient checks build float64 stores and run the same
+layer code. Checkpoints hold float64 on disk whatever the store's dtype,
+which is exact for float32 values.
+"""
 
 import numpy as np
 
@@ -10,10 +17,11 @@ CHECKPOINT_MAGIC = b"STRL1"
 
 
 class Parameter:
-    """A value tensor paired with a same-shape gradient accumulator."""
+    """A value tensor, cast to `dtype`, paired with a same-shape gradient
+    accumulator."""
 
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self, value, dtype):
+        self.value = np.asarray(value, dtype=dtype)
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
@@ -29,9 +37,13 @@ class ParamStore:
     gradients, an Adam step) is one array operation, and the store takes
     no more parameters. Names, shapes and the iteration order, which fixes
     the checkpoint's, do not depend on the packing.
+
+    `dtype` is that of every value, gradient and flat buffer; an added
+    value is cast to it once.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._params = {}
         self.flat_value = None
         self.flat_grad = None
@@ -42,7 +54,7 @@ class ParamStore:
                               "parameters")
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        p = self._params[name] = Parameter(value)
+        p = self._params[name] = Parameter(value, self.dtype)
         return p
 
     def items(self):
@@ -62,7 +74,8 @@ class ParamStore:
         if self.flat_value is not None:
             return
         size = sum(p.value.size for p in self._params.values())
-        flat_value, flat_grad = np.empty(size), np.empty(size)
+        flat_value = np.empty(size, dtype=self.dtype)
+        flat_grad = np.empty(size, dtype=self.dtype)
         values, grads = self.views(flat_value), self.views(flat_grad)
         for name, p in self._params.items():
             values[name][...] = p.value
@@ -94,8 +107,9 @@ def uniform_fanin(rng, shape, fan_in):
 
 
 def save_checkpoint(path, arrays):
-    """Write named float64 arrays: magic, count, then per entry the
-    UTF-8 name, rank, 32-bit extents and row-major values."""
+    """Write named arrays: magic, count, then per entry the UTF-8 name,
+    rank, 32-bit extents and row-major float64 values (exact for a
+    float32 array)."""
     chunks = [CHECKPOINT_MAGIC, pack_int32(len(arrays))]
     for name, arr in arrays.items():
         arr = np.asarray(arr)
@@ -106,6 +120,7 @@ def save_checkpoint(path, arrays):
 
 
 def load_checkpoint(path):
+    """name -> float64 array of a checkpoint `save_checkpoint` wrote."""
     record = Record(path, CHECKPOINT_MAGIC, "checkpoint")
     arrays = {}
     (count,) = record.ints(1)

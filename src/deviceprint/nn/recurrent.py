@@ -14,7 +14,8 @@ loop, each step makes one recurrent GEMM for all four gates of both
 directions, and backward gathers every step's pre-activation gradient and
 makes the weight and input-gradient GEMMs once, after the loop. The tests
 keep a per-gate, one-direction cell, reading its weights from the
-blocks, as the reference it is checked against.
+blocks, as the reference it is checked against. Every per-step buffer
+takes the weights' dtype, to which the input sequence is cast.
 """
 
 import numpy as np
@@ -77,7 +78,7 @@ class BiLstm:
         cell does, so the outputs equal that cell composed over each
         direction bit for bit.
         """
-        seq = np.asarray(seq, dtype=np.float64)
+        seq = np.asarray(seq, dtype=self.wx.value.dtype)
         if seq.ndim != 3 or seq.shape[1] < 1:
             raise ShapeError("sequence must be [B, T, D] with T >= 1")
         batch, steps, d_in = seq.shape
@@ -85,17 +86,19 @@ class BiLstm:
         wx, wh = self.wx.value, self.wh.value
         bias = self.b.value.reshape(2, 4, hid, 1)
         peep = self.wp.value[..., None]
-        xs = np.empty((2, steps, batch, d_in))
+        dtype = seq.dtype
+        xs = np.empty((2, steps, batch, d_in), dtype=dtype)
         xs[0] = seq.transpose(1, 0, 2)
         xs[1] = seq[:, ::-1].transpose(1, 0, 2)
         proj = np.matmul(wx.transpose(0, 2, 1)[:, None],
                          xs.transpose(0, 1, 3, 2)).reshape(
             2, steps, 4, hid, batch)
         wh_t = wh.transpose(0, 2, 1)
-        hs = np.zeros((2, steps + 1, hid, batch))  # [:, t] is h_{t-1}
-        cs = np.zeros((2, steps + 1, hid, batch))
-        acts = np.empty((2, steps, 4, hid, batch))  # i, f, g, o per SLOTS
-        tanh_cs = np.empty((2, steps, hid, batch))
+        # hs[:, t] is h_{t-1}; acts holds gates i, f, g, o per SLOTS
+        hs = np.zeros((2, steps + 1, hid, batch), dtype=dtype)
+        cs = np.zeros((2, steps + 1, hid, batch), dtype=dtype)
+        acts = np.empty((2, steps, 4, hid, batch), dtype=dtype)
+        tanh_cs = np.empty((2, steps, hid, batch), dtype=dtype)
         for t in range(steps):
             c_prev, c, act = cs[:, t], cs[:, t + 1], acts[:, t]
             z = np.matmul(wh_t, hs[:, t]).reshape(2, 4, hid, batch)
@@ -113,7 +116,7 @@ class BiLstm:
             np.tanh(c, out=tanh_cs[:, t])
             np.multiply(act[:, 3], tanh_cs[:, t], out=hs[:, t + 1])
         self._caches = (xs, hs, cs, acts, tanh_cs) if train else None
-        out = np.empty((batch, steps, 2 * hid))
+        out = np.empty((batch, steps, 2 * hid), dtype=dtype)
         out[:, :, :hid] = hs[0, 1:].transpose(2, 0, 1)
         out[:, :, hid:] = hs[1, :0:-1].transpose(2, 0, 1)
         return out
@@ -124,7 +127,8 @@ class BiLstm:
         hid = self.hidden
         wx, wh = self.wx.value, self.wh.value
         peep = self.wp.value[..., None]
-        grad_h = np.empty((2, steps, hid, batch))
+        dtype = xs.dtype
+        grad_h = np.empty((2, steps, hid, batch), dtype=dtype)
         grad_h[0] = grad_out[:, :, :hid].transpose(1, 2, 0)
         grad_h[1] = grad_out[:, ::-1, hid:].transpose(1, 2, 0)
         # every factor that does not depend on the incoming gradient, for
@@ -139,9 +143,9 @@ class BiLstm:
         coef_o = tanh_cs * deriv[:, :, 3]  # dh_t -> o's pre-activation
         coef_c = 1.0 - tanh_cs ** 2  # dh_t -> C_t
         coef_c *= acts[:, :, 3]
-        dpre = np.empty((2, steps, 4, hid, batch))
-        dh_next = np.zeros((2, hid, batch))
-        dc_next = np.zeros((2, hid, batch))
+        dpre = np.empty((2, steps, 4, hid, batch), dtype=dtype)
+        dh_next = np.zeros((2, hid, batch), dtype=dtype)
+        dc_next = np.zeros((2, hid, batch), dtype=dtype)
         for t in range(steps - 1, -1, -1):
             d = dpre[:, t]
             dh = grad_h[:, t] + dh_next

@@ -808,6 +808,35 @@ def test_checkpoint_of_the_older_layout_is_retrained(trained_cfg, tmp_path,
     assert metrics.read_bytes() == undamaged
 
 
+def test_eval_loads_a_float64_checkpoint_rounded_once(trained_cfg, tmp_path,
+                                                      monkeypatch):
+    # earlier builds trained in float64 and wrote values float32 cannot
+    # hold; eval loads such a checkpoint into its float32 network
+    model_dir = trained_cfg.workdir / "model"
+    dims, labels = pipeline._read_arch(model_dir / "arch.txt")
+    wide = model.build_model(model.ArchitectureConfig(dims, len(labels)),
+                             seed=5, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    for bn in (wide.bn1, wide.bn2):
+        bn.running_mean = rng.uniform(-0.5, 0.5, bn.running_mean.shape)
+        bn.running_var = rng.uniform(0.5, 2.0, bn.running_var.shape)
+    nn.save_checkpoint(model_dir / "model.ckpt", wide.state_arrays())
+    built = []
+    build = model.build_model
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(model, "build_model", recording_build)
+    assert main(["eval", "--config", _cfg_file(tmp_path, trained_cfg)]) == 0
+    (net,) = built
+    got = net.state_arrays()
+    for name, value in wide.state_arrays().items():
+        assert got[name].dtype == np.float32
+        assert np.array_equal(got[name], value.astype(np.float32)), name
+
+
 def test_eval_rejects_checkpoint_that_does_not_fit(trained_cfg):
     # the records are current, so only load_state sees that the arrays
     # are those of another network; the sidecar goes, so train retrains
@@ -1030,7 +1059,9 @@ def _forbidden(*args, **kwargs):
 
 def test_stages_and_training_print_nothing_but_their_log(tiny_cfg, capfd):
     # the benchmark reads its result from the last line of its stdout, so
-    # nothing it runs may write there on its own, at the fd level included
+    # nothing it runs may write there on its own, at the fd level included;
+    # float32 exp overflows above about 88.7, and raising turns a silent
+    # inf in the loss or a layer into a failure here
     lines = []
     for stage in (pipeline.stage_synth, pipeline.stage_mfcc,
                   pipeline.stage_train_ubm, pipeline.stage_sgmm,
@@ -1041,7 +1072,8 @@ def test_stages_and_training_print_nothing_but_their_log(tiny_cfg, capfd):
     train_set = pipeline._feature_set(tiny_cfg, manifest,
                                       manifest.for_split("train"))
     net = model.build_model(model.fit_architecture(train_set, 3), seed=7)
-    model.train(net, train_set, tiny_cfg.train_config())
-    model.evaluate(net, train_set)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        model.train(net, train_set, tiny_cfg.train_config())
+        model.evaluate(net, train_set)
     assert lines
     assert capfd.readouterr().out == ""

@@ -3,11 +3,11 @@ import pytest
 
 from deviceprint import gmm
 from deviceprint.errors import ConfigError, DataError, FormatError, ShapeError, TooShortError
-from deviceprint.mfcc import FrameConfig, MelConfig, MfccMatrix
+from deviceprint.mfcc import MfccMatrix
 
 
 def _mfcc(coeffs):
-    return MfccMatrix(np.asarray(coeffs, dtype=float), FrameConfig(), MelConfig())
+    return MfccMatrix(np.asarray(coeffs, dtype=float))
 
 
 def _random_gmm(rng, n_components, n_dims):

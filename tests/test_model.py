@@ -8,7 +8,8 @@ from deviceprint.errors import (ConfigError, DataError, DependencyError,
                                ShapeError)
 from deviceprint.gmm import SgmmTensor
 from deviceprint.nn import (AdamState, BatchNorm3d, BiLstm, Conv3d, Dense,
-                            ParamStore, adam_step, gradcheck)
+                            ParamStore, adam_step, gradcheck, load_checkpoint,
+                            save_checkpoint, softmax_cross_entropy)
 
 
 def _tensor(rng, dims=(12, 8, 4)):
@@ -123,7 +124,7 @@ def test_build_model_draws_the_unfolded_parameters(kernel_t):
     # network is bit-identical to it
     arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=5,
                                     kernel_t=kernel_t)
-    got = model.build_model(arch, seed=9).state_arrays()
+    got = model.build_model(arch, seed=9, dtype=np.float64).state_arrays()
     want = _unfolded_draws(arch, 9)
     assert list(got) == list(want)
     assert all(np.array_equal(got[k], want[k]) for k in want)
@@ -170,7 +171,7 @@ def test_whole_network_gradient_matches_finite_differences(kernel_t,
     arch = model.ArchitectureConfig(input_dims=(8, 8, 3), n_classes=3,
                                     channels=(2, 3, 2), kernel_t=kernel_t,
                                     hidden=3, attention=attention)
-    net = model.build_model(arch, seed=21)
+    net = model.build_model(arch, seed=21, dtype=np.float64)
     rng = np.random.default_rng(22)
     x = gradcheck._tie_free(rng, (4, 1, 3, 8, 8))
     probe = rng.standard_normal((4, 3))
@@ -319,8 +320,8 @@ def test_evaluate_batching_leaves_metrics_bit_identical(g64_eval):
     The per-clip convs and pools do not depend on the batch, but the
     recurrent and dense matmuls go through BLAS, whose kernel can change
     with the row count: a trailing batch of one clip moved logits by about
-    1e-17 against the same clip in a batch of 50. 50 clips end in a batch
-    of two, which matches bit for bit.
+    1e-17 in float64 and 9e-9 in float32 against the same clip in a batch
+    of 50. 50 clips end in a batch of two, which matches bit for bit.
     """
     net, data = g64_eval
     default = model.evaluate(net, data)
@@ -528,6 +529,86 @@ def test_checkpoint_restores_model():
     xs, _ = model.stack_features(data)
     assert np.array_equal(net.forward(xs, train=False),
                           twin.forward(xs, train=False))
+
+
+def _record_layer_dtypes(net):
+    """Wrap every layer's forward and backward so that each call appends
+    (layer, method, dtype of what it returned) to the returned list."""
+    seen = []
+    for layer in net.layers[1:]:
+        for method in ("forward", "backward"):
+            def recorded(*args, _call=getattr(layer, method), _layer=layer,
+                         _method=method, **kwargs):
+                out = _call(*args, **kwargs)
+                if out is not None:  # conv1's backward returns nothing
+                    seen.append((type(_layer).__name__, _method, out.dtype))
+                return out
+            setattr(layer, method, recorded)
+    return seen
+
+
+def test_float32_network_stays_float32(tmp_path):
+    # one train step, an inference, and a checkpoint round trip: every
+    # layer output (gradients included), the flat buffers, both Adam
+    # moments and the running statistics are float32
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=3)
+    net = model.build_model(arch, seed=3)
+    seen = _record_layer_dtypes(net)
+    rng = np.random.default_rng(14)
+    x = rng.uniform(0, 1, (6, 1, 5, 12, 8))
+    state = AdamState(net.params, alpha=0.002)
+    net.params.zero_grads()
+    logits = net.forward(x, train=True)
+    loss, dlogits = softmax_cross_entropy(logits, np.eye(3)[[0, 1, 2] * 2])
+    net.backward(dlogits)
+    adam_step(net.params, state)
+    inferred = net.forward(x, train=False)
+    assert isinstance(loss, float)
+    assert len(seen) == 3 * len(net.layers[1:]) - 1
+    assert {dtype for _, _, dtype in seen} == {np.dtype(np.float32)}, seen
+    buffers = [net.params.flat_value, net.params.flat_grad, state.flat_m,
+               state.flat_v, logits, dlogits, inferred]
+    assert all(buf.dtype == np.float32 for buf in buffers)
+    assert all(v.dtype == np.float32 for v in net.state_arrays().values())
+
+    save_checkpoint(tmp_path / "m.ckpt", net.state_arrays())
+    twin = model.build_model(arch, seed=4)
+    twin.load_state(load_checkpoint(tmp_path / "m.ckpt"))
+    assert all(v.dtype == np.float32 for v in twin.state_arrays().values())
+    assert twin.forward(x, train=False).dtype == np.float32
+
+
+def test_float32_and_float64_networks_agree_on_the_first_step():
+    # measured: 1.5e-7 to 5.3e-7 relative on logits and 2.8e-7 to 3.8e-7
+    # on flat_grad at G=8 over four seeds, 1.2e-6 on flat_grad at G=64
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=5)
+    rng = np.random.default_rng(15)
+    x = rng.uniform(0, 1, (16, 1, 5, 12, 8))
+    onehot = np.eye(5)[np.arange(16) % 5]
+    step = {}
+    for dtype in (np.float32, np.float64):
+        net = model.build_model(arch, seed=15, dtype=dtype)
+        net.params.zero_grads()
+        logits = net.forward(x, train=True)
+        net.backward(softmax_cross_entropy(logits, onehot)[1])
+        step[dtype] = (logits, net.params.flat_grad)
+    for narrow, wide in zip(step[np.float32], step[np.float64]):
+        assert narrow.dtype == np.float32 and wide.dtype == np.float64
+        assert gradcheck.rel_error(narrow.astype(np.float64), wide) < 1e-5
+
+
+def test_float32_checkpoint_round_trip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(16)
+    data = _dataset(rng, 3, 2)
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 4), n_classes=2)
+    net = model.build_model(arch, seed=16)
+    model.train(net, data, model.TrainConfig(epochs=2, batch_size=4))
+    save_checkpoint(tmp_path / "m.ckpt", net.state_arrays())
+    twin = model.build_model(arch, seed=17)
+    twin.load_state(load_checkpoint(tmp_path / "m.ckpt"))
+    want, got = net.state_arrays(), twin.state_arrays()
+    assert list(got) == list(want)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 @pytest.mark.parametrize("name, value, error", [

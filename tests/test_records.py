@@ -38,8 +38,7 @@ def _checkpoint_bytes(arrays):
 
 # format -> (write the sample to a path, read a path, the sample's bytes)
 FORMATS = {
-    "mfcc": (lambda path: mfcc.save_mfcc(path, mfcc.MfccMatrix(
-                 COEFFS, mfcc.FrameConfig(), mfcc.MelConfig())),
+    "mfcc": (lambda path: mfcc.save_mfcc(path, mfcc.MfccMatrix(COEFFS)),
              mfcc.load_mfcc,
              b"MFCC1" + struct.pack("<ii", 3, 4) + _f8(COEFFS)),
     "dgmm": (lambda path: gmm.save_gmm(path, UBM), gmm.load_gmm,

@@ -126,18 +126,22 @@ class C3dBiLstm:
         self.pw = PointwiseExpansion(self.params, "pw", c0, rng=rng)
         self.conv1 = ExpandedConv3d(self.params, "conv1", self.pw, c1,
                                     (kt, 3, 3), padding=pad, rng=rng)
-        self.bn1 = BatchNorm3d(self.params, "bn1", c1)
+        # each block's batch norm and ReLU overwrite the conv's fresh
+        # output, which nothing reads again, and the gradients handed back
+        self.bn1 = BatchNorm3d(self.params, "bn1", c1, in_place=True)
         self.conv2 = Conv3d(self.params, "conv2", c1, c2, (kt, 3, 3),
                             padding=pad, rng=rng)
-        self.bn2 = BatchNorm3d(self.params, "bn2", c2)
+        self.bn2 = BatchNorm3d(self.params, "bn2", c2, in_place=True)
         self.bilstm = BiLstm(self.params, "bilstm", arch.flatten_size(),
                              arch.hidden, rng=rng)
         self.fc = Dense(self.params, "fc", 2 * arch.hidden, arch.n_classes,
                         rng=rng)
         self.layers = [
             self.pw,
-            self.conv1, self.bn1, ReLU(), MaxPool3d(_POOL_WINDOWS[0]),
-            self.conv2, self.bn2, ReLU(), MaxPool3d(_POOL_WINDOWS[1]),
+            self.conv1, self.bn1, ReLU(in_place=True),
+            MaxPool3d(_POOL_WINDOWS[0]),
+            self.conv2, self.bn2, ReLU(in_place=True),
+            MaxPool3d(_POOL_WINDOWS[1]),
             AvgPool3d(_POOL_WINDOWS[2]),
             FlattenPerStep(),
             self.bilstm,
@@ -159,7 +163,9 @@ class C3dBiLstm:
         layer's backward state. train=False is inference: batch norm uses
         its running statistics, no layer keeps anything activation-sized,
         so each activation is freed once the next layer has consumed it,
-        and a backward afterwards raises DependencyError.
+        and a backward afterwards raises DependencyError. In each conv
+        block, batch norm and ReLU write over the conv's output, an array
+        made in this call, so x itself is never written.
         """
         x = np.asarray(x, dtype=self.params.dtype)
         m, g, t = self.arch.input_dims

@@ -5,6 +5,13 @@ Each layer computes in the dtype of its parameters and input, and batch
 norm keeps its running statistics in its store's dtype. The loss is
 computed in the logits' dtype and returned as a Python float, so a caller
 that sums losses over batches sums Python floats.
+
+Batch norm and ReLU leave their arguments untouched by default. Built
+with in_place=True they write their results over the array forward is
+handed and over the gradient backward is handed, for a caller that made
+both and reads neither again (C3dBiLstm's two conv blocks): the same
+operations in the same order, without a fresh activation-sized array per
+call.
 """
 
 import weakref
@@ -43,16 +50,24 @@ class BatchNorm3d:
     gradient check does), but inside the network the input is freed as
     soon as the next layer's output replaces it, and a backward then
     raises DependencyError.
+
+    in_place=True writes xc (train) or the output (inference) over the
+    input, and the input gradient over the incoming gradient, with xc's
+    share of it written over xc. Such a layer keeps nothing after an
+    inference forward, and backward drops what train mode kept, so a
+    backward after either of those raises DependencyError.
     """
 
     eps = 1e-5  # added to the variance before its square root
 
-    def __init__(self, store, name, channels, momentum=0.9):
+    def __init__(self, store, name, channels, momentum=0.9, *,
+                 in_place=False):
         self.gamma = store.add(f"{name}.gamma", np.ones(channels))
         self.beta = store.add(f"{name}.beta", np.zeros(channels))
         self.running_mean = np.zeros(channels, dtype=store.dtype)
         self.running_var = np.ones(channels, dtype=store.dtype)
         self.momentum = momentum
+        self.in_place = in_place
         self._cache = None
 
     def forward(self, x, train=False):
@@ -61,8 +76,10 @@ class BatchNorm3d:
         if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             scale = self.gamma.value * inv_std
-            self._cache = (weakref.ref(x), self.running_mean, inv_std, None)
-            out = x * _per_channel(scale)
+            self._cache = None if self.in_place else (
+                weakref.ref(x), self.running_mean, inv_std, None)
+            out = np.multiply(x, _per_channel(scale),
+                              out=x if self.in_place else None)
             out += _per_channel(self.beta.value - self.running_mean * scale)
             return out
         m = x.size // x.shape[1]
@@ -70,7 +87,8 @@ class BatchNorm3d:
             raise DataError("train-mode batch norm needs >= 2 values "
                             "per channel")
         mean = _channel_sum(x) / m
-        xc = x - _per_channel(mean)
+        xc = np.subtract(x, _per_channel(mean),
+                         out=x if self.in_place else None)
         var = _channel_dot(xc, xc) / m
         self.running_mean = (self.momentum * self.running_mean
                              + (1 - self.momentum) * mean)
@@ -91,29 +109,39 @@ class BatchNorm3d:
         self.gamma.grad += inv_std * sum_g_xc
         self.beta.grad += sum_g
         scale = self.gamma.value * inv_std
-        grad_x = grad_out * _per_channel(scale)
+        grad_x = np.multiply(grad_out, _per_channel(scale),
+                             out=grad_out if self.in_place else None)
         if m is None:
             return grad_x
         # the batch statistics' share: gamma * inv_std / m * (xhat * sum g
         # xhat + sum g), written on xc
-        grad_x -= xc * _per_channel(scale * inv_std ** 2 * sum_g_xc / m)
+        share = _per_channel(scale * inv_std ** 2 * sum_g_xc / m)
+        grad_x -= np.multiply(xc, share, out=xc if self.in_place else None)
         grad_x -= _per_channel(scale * sum_g / m)
+        if self.in_place:
+            self._cache = None  # xc now holds the statistics' share
         return grad_x
 
 
 class ReLU:
     """max(x, 0) in one pass; train mode also keeps the x > 0 mask that
-    backward multiplies by (a multiply, since np.where is slower)."""
+    backward multiplies by (a multiply, since np.where is slower).
 
-    def __init__(self):
+    in_place=True takes the mask first and then writes the output over x,
+    and backward writes the masked gradient over the incoming one.
+    """
+
+    def __init__(self, *, in_place=False):
+        self.in_place = in_place
         self._mask = None
 
     def forward(self, x, train=False):
         self._mask = x > 0 if train else None
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x if self.in_place else None)
 
     def backward(self, grad_out):
-        return grad_out * forward_state(self._mask, self)
+        return np.multiply(grad_out, forward_state(self._mask, self),
+                           out=grad_out if self.in_place else None)
 
 
 class FlattenPerStep:

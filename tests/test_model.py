@@ -61,8 +61,9 @@ def test_time_axis_preserved_through_stack():
 
 def test_inference_forward_holds_one_activation_at_a_time():
     # the evaluation shape at G=64: keeping every layer's backward state
-    # peaked at 104 MiB and held 99 MiB after the call; conv1's padded
-    # input and output (about 37 MiB) next to its input set the peak now
+    # peaked at 104 MiB and held 99 MiB after the call in float64. In
+    # float32 conv1's output (11.7 MiB), which bn1 and relu1 overwrite,
+    # next to maxpool1's output (2.9 MiB) sets the peak, 14.7 MiB
     arch = model.ArchitectureConfig(input_dims=(12, 64, 5), n_classes=5)
     net = model.build_model(arch, seed=0)
     x = np.random.default_rng(3).uniform(0, 1, (50, 1, 5, 12, 64))
@@ -95,6 +96,76 @@ def test_inference_conv1_makes_no_eight_channel_activation():
         tracemalloc.stop()
     assert x.shape == (50, 16, 5, 12, 64)
     assert peak < out_bytes + 6.5 * 2**20
+
+
+def test_inference_forward_writes_over_each_conv_output():
+    # a float32 batch of 16 at the evaluation shape: with batch norm and
+    # ReLU each making a fresh array the forward peaked at 7.53 MiB (bn1's
+    # input and output side by side); writing over conv1's output, 4.72
+    arch = model.ArchitectureConfig(input_dims=(12, 64, 5), n_classes=5)
+    net = model.build_model(arch, seed=0)
+    x = np.random.default_rng(3).uniform(0, 1, (16, 1, 5, 12, 64)).astype(
+        np.float32)
+    tracemalloc.start()
+    try:
+        net.forward(x, train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_forward_leaves_a_read_only_input_untouched(train):
+    arch = model.ArchitectureConfig(input_dims=(12, 8, 5), n_classes=3)
+    net = model.build_model(arch, seed=2)
+    x = np.random.default_rng(9).uniform(0, 1, (4, 1, 5, 12, 8)).astype(
+        np.float32)
+    want = x.copy()
+    x.flags.writeable = False
+    net.forward(x, train=train)
+    assert x.tobytes() == want.tobytes()
+
+
+def _in_place_flags(net):
+    return [i for i, layer in enumerate(net.layers)
+            if getattr(layer, "in_place", False)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("g, n_per_class", [(8, 4), (64, 2)])
+def test_in_place_network_matches_its_out_of_place_twin(dtype, g,
+                                                        n_per_class):
+    # only the conv blocks' batch norms and ReLUs write in place, and doing
+    # so changes no bit of the logits, gradients or a short training
+    dims = (12, g, 5)
+    arch = model.ArchitectureConfig(input_dims=dims, n_classes=5)
+    rng = np.random.default_rng(31)
+    data = _dataset(rng, n_per_class, 5, dims)
+    xs, _ = model.stack_features(data, dtype)
+    probe = rng.standard_normal((len(xs), 5)).astype(dtype)
+    net, twin = (model.build_model(arch, seed=8, dtype=dtype)
+                 for _ in range(2))
+    assert len(net.layers) == 15 and _in_place_flags(net) == [2, 3, 6, 7]
+    assert net.layers[2] is net.bn1 and net.layers[6] is net.bn2
+    for i in _in_place_flags(twin):
+        twin.layers[i].in_place = False
+    runs = []
+    for n in (net, twin):
+        n.params.zero_grads()
+        run = [n.forward(xs, train=True)]
+        n.backward(probe)
+        run += [n.params.flat_grad.copy(), n.forward(xs, train=False)]
+        history = model.train(n, data, model.TrainConfig(epochs=3,
+                                                         batch_size=4,
+                                                         seed=8))
+        metrics = model.evaluate(n, data)
+        run += list(n.state_arrays().values()) + [metrics.confusion]
+        runs.append((run, history, metrics.kv_records()))
+    (got, got_history, got_kv), (want, want_history, want_kv) = runs
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert got_history == want_history and got_kv == want_kv
 
 
 def _unfolded_draws(arch, seed):

@@ -775,6 +775,78 @@ def test_relu_inference_keeps_no_mask():
     assert relu._mask is None
 
 
+# --- in-place batch norm and ReLU -------------------------------------------
+
+def _batchnorm(**kwargs):
+    bn = nn.BatchNorm3d(nn.ParamStore(), "bn", 3, **kwargs)
+    bn.running_mean = np.array([0.5, -1.0, 2.0])
+    bn.running_var = np.array([0.5, 1.5, 3.0])
+    return bn
+
+
+_IN_PLACE_CAPABLE = [pytest.param(_batchnorm, id="BatchNorm3d"),
+                     pytest.param(nn.ReLU, id="ReLU")]
+
+
+def _arguments(seed):
+    """A forward input and an incoming gradient of the same shape."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((2, 3, 2, 3, 3)) * 2.0 + 0.5,
+            rng.standard_normal((2, 3, 2, 3, 3)))
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("make", _IN_PLACE_CAPABLE)
+def test_default_layer_leaves_its_arguments_untouched(make, train):
+    x, g = _arguments(18)
+    x0, g0 = x.copy(), g.copy()
+    layer = make()
+    out = layer.forward(x, train=train)
+    if train or isinstance(layer, nn.BatchNorm3d):  # ReLU inference: no mask
+        grad = layer.backward(g)
+        assert not np.shares_memory(grad, g)
+    assert not np.shares_memory(out, x)
+    assert x.tobytes() == x0.tobytes() and g.tobytes() == g0.tobytes()
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("make", _IN_PLACE_CAPABLE)
+def test_in_place_layer_writes_over_its_arguments(make, train):
+    # the same values, bit for bit, as the default layer's, written over
+    # the input (train-mode batch norm writes its centred input there and
+    # returns a fresh output) and over the incoming gradient
+    x, g = _arguments(19)
+    ref, layer = make(), make(in_place=True)
+    want = ref.forward(x.copy(), train=train)
+    out = layer.forward(x, train=train)
+    assert out.tobytes() == want.tobytes()
+    assert (out is x) == (not train or isinstance(layer, nn.ReLU))
+    assert not np.array_equal(x, _arguments(19)[0])
+    if not train:
+        return
+    want_grad = ref.backward(g.copy())
+    assert layer.backward(g) is g
+    assert g.tobytes() == want_grad.tobytes()
+    if isinstance(layer, nn.BatchNorm3d):
+        for mine, theirs in ((layer.gamma, ref.gamma), (layer.beta, ref.beta)):
+            assert mine.grad.tobytes() == theirs.grad.tobytes()
+
+
+def test_in_place_batchnorm_backward_needs_a_fresh_train_forward():
+    # its backward overwrites the centred input it kept, and its inference
+    # forward overwrote the input a backward would read: both raise
+    x, g = _arguments(20)
+    bn = _batchnorm(in_place=True)
+    bn.forward(x.copy(), train=True)
+    bn.backward(g.copy())
+    with pytest.raises(DependencyError, match="train-mode forward"):
+        bn.backward(g.copy())
+    held = x.copy()  # still alive: a default layer's backward would run
+    bn.forward(held, train=False)
+    with pytest.raises(DependencyError, match="train-mode forward"):
+        bn.backward(g.copy())
+
+
 # --- inference mode keeps no backward state -----------------------------------
 
 def _stateful_layers():

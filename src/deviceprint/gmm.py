@@ -9,11 +9,11 @@ feature dimension, are stacked in time order into an M x G x T tensor
 A tensor's `.sgmm` file is the whole feature: magic, M, G, T and the
 data. The segment length and relevance factor behind it are config lines
 (`gmm.seg_frames`, `gmm.relevance`), which the pipeline's `sgmm` stage
-record keeps, so the file does not repeat them and a loaded tensor
-carries 0 for both.
+record keeps, so neither the file nor a tensor, loaded or extracted,
+carries anything but its array.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -71,19 +71,20 @@ class DiagGmm:
 
 @dataclass
 class SgmmTensor:
-    """Temporal Gaussian-mean feature tensor of shape (M, G, T) in [0, 1]."""
+    """Temporal Gaussian-mean feature tensor of shape (M, G, T) in [0, 1].
+    The tensor holds nothing but its array (the `sgmm` stage record keeps
+    the config); a component count, segment length and relevance factor
+    passed after the data are accepted and dropped."""
 
     data: np.ndarray
-    n_components: int
-    seg_frames: int
-    relevance: float
+    n_components: InitVar[int] = None
+    seg_frames: InitVar[int] = None
+    relevance: InitVar[float] = None
 
-    def __post_init__(self):
+    def __post_init__(self, n_components, seg_frames, relevance):
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3:
             raise ShapeError("feature tensor must be (M, G, T)")
-        if self.data.shape[1] != self.n_components:
-            raise ShapeError("tensor G axis does not match n_components")
         # written so that a NaN fails it too
         if not np.all((self.data >= 0.0) & (self.data <= 1.0)):
             raise ShapeError("tensor entries must lie in [0, 1]")
@@ -289,7 +290,8 @@ def map_adapt_means(ubm, segment, relevance):
         raise ShapeError(
             f"segment must be ({ubm.n_dims}, t), got {segment.shape}")
     x = segment.T
-    return _adapted_means(ubm, x, _posteriors(ubm, x)[0], relevance)
+    return _adapted_means(ubm, x[None], _posteriors(ubm, x)[0][None],
+                          relevance)[0]
 
 
 def _check_relevance(relevance):
@@ -298,15 +300,19 @@ def _check_relevance(relevance):
 
 
 def _adapted_means(ubm, x, resp, relevance):
-    """The `map_adapt_means` formula, given one segment's frames x (t, M)
-    and their responsibilities resp (t, G) under the UBM."""
-    occ = resp.sum(axis=0)
-    posterior_means = ubm.means.copy()
+    """The `map_adapt_means` formula for S segments at once, given their
+    frames x (S, t, M) and responsibilities resp (S, t, G) under the UBM.
+    Returns (S, G, M); a component a segment never touches keeps the UBM
+    mean and an alpha of 0."""
+    occ = resp.sum(axis=1)[:, :, None]
     touched = occ > 0
-    posterior_means[touched] = (resp.T @ x)[touched] / occ[touched, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        alpha = np.where(touched, occ / (occ + relevance), 0.0)
-    return alpha[:, None] * posterior_means + (1.0 - alpha)[:, None] * ubm.means
+    sums = resp.transpose(0, 2, 1) @ x
+    posterior_means = np.divide(
+        sums, occ, out=np.broadcast_to(ubm.means, sums.shape).copy(),
+        where=touched)
+    alpha = np.divide(occ, occ + relevance, out=np.zeros_like(occ),
+                      where=touched)
+    return alpha * posterior_means + (1.0 - alpha) * ubm.means
 
 
 def minmax_normalize(matrix):
@@ -329,8 +335,8 @@ def extract_sgmm(ubm, mfcc, seg_frames, relevance):
     normalized per feature row, and stacked along the third axis in
     segment order.
     The responsibilities of all the segments' frames come from one
-    `_posteriors` pass; each segment is then adapted by the formula
-    `map_adapt_means` applies, from its own rows of that pass.
+    `_posteriors` pass, and every segment is adapted in one batched pass
+    of the formula `map_adapt_means` applies, from its own rows of them.
     """
     _check_relevance(relevance)
     if seg_frames < 1:
@@ -344,13 +350,11 @@ def extract_sgmm(ubm, mfcc, seg_frames, relevance):
                          f"({mfcc.n_ceps}, {seg_frames})")
     x = mfcc.coeffs[:, :n_segments * seg_frames].T
     resp, _ = _posteriors(ubm, x)
-    data = np.empty((ubm.n_dims, ubm.n_components, n_segments))
-    for idx in range(n_segments):
-        rows = slice(idx * seg_frames, (idx + 1) * seg_frames)
-        data[:, :, idx] = minmax_normalize(
-            _adapted_means(ubm, x[rows], resp[rows], relevance).T)
-    return SgmmTensor(data=data, n_components=ubm.n_components,
-                      seg_frames=seg_frames, relevance=float(relevance))
+    segments = (n_segments, seg_frames, -1)
+    means = _adapted_means(ubm, x.reshape(segments), resp.reshape(segments),
+                           relevance)
+    return SgmmTensor(
+        minmax_normalize(means.transpose(0, 2, 1)).transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +380,4 @@ def save_sgmm(path, tensor):
 
 def load_sgmm(path):
     record = Record(path, SGMM_MAGIC, "feature tensor")
-    data = record.array(record.ints(3, least=1))
-    return record.build(SgmmTensor, data=data, n_components=data.shape[1],
-                        seg_frames=0, relevance=0.0)
+    return record.build(SgmmTensor, record.array(record.ints(3, least=1)))

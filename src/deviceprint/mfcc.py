@@ -147,14 +147,11 @@ def mel_filterbank(cfg, sample_rate, n_fft_bins):
             f"{n_fft_bins} FFT bins cannot resolve {cfg.n_filters} filters")
     n_fft = 2 * (n_fft_bins - 1)
     bin_mels = hz_to_mel(np.arange(n_fft_bins) * sample_rate / n_fft)
-    edges = _mel_edges(cfg)
-    weights = np.zeros((cfg.n_filters, n_fft_bins))
-    for j in range(cfg.n_filters):
-        lo, center, hi = edges[j], edges[j + 1], edges[j + 2]
-        rising = (bin_mels - lo) / (center - lo)
-        falling = (hi - bin_mels) / (hi - center)
-        weights[j] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return weights
+    edges = _mel_edges(cfg)[:, None]
+    lo, center, hi = edges[:-2], edges[1:-1], edges[2:]
+    rising = (bin_mels - lo) / (center - lo)
+    falling = (hi - bin_mels) / (hi - center)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def filter_centers_hz(cfg):

@@ -7,8 +7,7 @@ from .conv import (AvgPool3d, Conv3d, ExpandedConv3d, MaxPool3d,
                    conv3d_forward, maxpool3d, maxpool3d_backward)
 from .layers import (BatchNorm3d, Dense, FlattenPerStep, MeanOverTime, ReLU,
                      softmax_cross_entropy)
-from .params import (Parameter, ParamStore, load_checkpoint, save_checkpoint,
-                     uniform_fanin)
+from .params import ParamStore, load_checkpoint, save_checkpoint
 from .recurrent import BiLstm
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "maxpool3d_backward",
     "BatchNorm3d", "Dense", "FlattenPerStep", "MeanOverTime", "ReLU",
     "softmax_cross_entropy",
-    "Parameter", "ParamStore", "load_checkpoint", "save_checkpoint",
-    "uniform_fanin",
+    "ParamStore", "load_checkpoint", "save_checkpoint",
     "BiLstm",
 ]

@@ -685,9 +685,9 @@ def test_damaged_artifact_is_rebuilt_by_the_stage_the_error_names(
     assert metrics.read_bytes() == undamaged
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_synth_refuses_a_clip_length_that_is_not_finite(tiny_cfg, tmp_path,
-                                                        capsys, value):
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-05"])
+def test_synth_refuses_a_clip_length_that_spans_no_sample(tiny_cfg, tmp_path,
+                                                          capsys, value):
     tiny_cfg.set("corpus.clip_seconds", float(value))
     path = _cfg_file(tmp_path, tiny_cfg)
     assert main(["synth", "--config", path]) == 1

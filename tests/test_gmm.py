@@ -281,23 +281,48 @@ def test_sgmm_segment_permutation_equivariance():
     assert np.array_equal(permuted.data, base.data[:, :, perm])
 
 
+def _oracle_input(rng, case):
+    """(UBM, MFCC matrix, segment length) for one oracle input."""
+    if case == "far component":
+        base = _random_gmm(rng, 6, 4)
+        means = base.means.copy()
+        means[5] = 50.0
+        ubm = gmm.DiagGmm(base.weights, means, base.variances)
+        return ubm, _mfcc(rng.standard_normal((4, 37))), 6
+    # the shipped geometry, M=12, G=64 and 10-frame segments, under an EM
+    # UBM of 32 well-separated pairs of overlapping clusters
+    centers = np.repeat(rng.uniform(-30.0, 30.0, (32, 12)), 2, axis=0)
+    centers[:, 0] += np.tile([-1.0, 1.0], 32)
+
+    def frames(n):
+        return (centers[rng.integers(64, size=n)]
+                + rng.standard_normal((n, 12))).T
+
+    return gmm.em_fit(frames(1280), 64, seed=0), _mfcc(frames(61)), 10
+
+
 @pytest.mark.parametrize("relevance", [0.0, 4.0])
-def test_sgmm_matches_per_segment_map_oracle(relevance):
+@pytest.mark.parametrize("case", ["far component", "shipped geometry"])
+def test_sgmm_matches_per_segment_map_oracle(case, relevance):
     # oracle: map_adapt_means per segment, transposed and normalized, then
-    # stacked; component 5 sits so far away that no segment touches it
-    rng = np.random.default_rng(15)
-    base = _random_gmm(rng, 6, 4)
-    means = base.means.copy()
-    means[5] = 50.0
-    ubm = gmm.DiagGmm(base.weights, means, base.variances)
-    mat = _mfcc(rng.standard_normal((4, 37)))
-    resp, _ = gmm._posteriors(ubm, mat.coeffs.T)
-    assert np.all(resp[:, 5] == 0.0)
+    # stacked. Far component: component 5 sits so far away that no segment
+    # touches it. Shipped geometry: a frame shares its responsibility
+    # within its pair only, so most of the 64 components keep the UBM mean
+    # in every segment
+    ubm, mat, seg_frames = _oracle_input(np.random.default_rng(15), case)
+    n_segments = mat.n_frames // seg_frames
+    used = mat.coeffs[:, :n_segments * seg_frames]
+    resp, _ = gmm._posteriors(ubm, used.T)
+    untouched = resp.reshape(n_segments, seg_frames, -1).sum(axis=1) == 0.0
+    if case == "far component":
+        assert np.all(untouched[:, 5])
+    else:
+        assert np.all(untouched.sum(axis=1) > 32)
     want = np.stack([gmm.minmax_normalize(
         gmm.map_adapt_means(ubm, segment, relevance).T)
-        for segment in np.split(mat.coeffs[:, :36], 6, axis=1)], axis=2)
-    got = gmm.extract_sgmm(ubm, mat, 6, relevance)
-    assert got.data.shape == (4, 6, 6)
+        for segment in np.split(used, n_segments, axis=1)], axis=2)
+    got = gmm.extract_sgmm(ubm, mat, seg_frames, relevance)
+    assert got.data.shape == (ubm.n_dims, ubm.n_components, n_segments)
     assert np.array_equal(got.data, want)
 
 

@@ -44,8 +44,7 @@ FORMATS = {
     "dgmm": (lambda path: gmm.save_gmm(path, UBM), gmm.load_gmm,
              b"DGMM1" + struct.pack("<ii", 2, 3) + _f8(UBM.weights)
              + _f8(UBM.means) + _f8(UBM.variances)),
-    "sgmm": (lambda path: gmm.save_sgmm(path, gmm.SgmmTensor(TENSOR, 2, 10,
-                                                             4.0)),
+    "sgmm": (lambda path: gmm.save_sgmm(path, gmm.SgmmTensor(TENSOR)),
              gmm.load_sgmm,
              b"SGMM1" + struct.pack("<iii", 3, 2, 4) + _f8(TENSOR)),
     "ckpt": (lambda path: nn.save_checkpoint(path, STATE), nn.load_checkpoint,

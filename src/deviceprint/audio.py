@@ -433,13 +433,24 @@ def select_device_profiles(n_devices, sample_rate, seed, noise_level=0.04):
 # Corpus generation and manifest I/O
 # ---------------------------------------------------------------------------
 
+# Clips per chunk of a corpus build: `synth_corpus` renders this many
+# clips, writes them, then renders the next chunk, so its memory does not
+# grow with the corpus, and the pipeline's per-clip steps compute and
+# write in the same chunks. The default 200 clips of 4 s, rendered in one
+# process (2 vCPU, one BLAS thread, median of 8 alternations), took
+# 1.95 s whole before the first write, 1.83 s in chunks of 32 and 2.06 s
+# writing each clip as soon as it was rendered.
+CHUNK_CLIPS = 32
+
+
 def synth_corpus(n_devices, clips_per_device, train_fraction, sample_rate,
                  seed, out_dir, clip_seconds=4.0, noise_level=0.04):
     """Generate a labeled multi-device corpus of WAV clips plus a manifest.
 
     Every clip gets an independently synthesized source so content never
     correlates with the device label. Deterministic: a given seed yields
-    byte-identical WAVs and manifest.
+    byte-identical WAVs and manifest. Clips are rendered and written
+    CHUNK_CLIPS at a time.
     """
     if n_devices < 2 or clips_per_device < 2:
         raise ConfigError("need at least 2 devices and 2 clips per device")
@@ -456,19 +467,19 @@ def synth_corpus(n_devices, clips_per_device, train_fraction, sample_rate,
                                       noise_level=noise_level)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    clips = [(d, c, profile) for d, profile in enumerate(profiles)
+             for c in range(clips_per_device)]
     entries = [ManifestEntry(path=f"{profile.device_id}_{c:03d}.wav",
                              device_id=profile.device_id,
                              split="train" if c < n_train else "test")
-               for profile in profiles for c in range(clips_per_device)]
-    # render every clip, then write them in order: writing each clip as
-    # soon as it was rendered measured slower (features_cold clips_per_s
-    # median 51.3 -> 43.9 on 2 vCPU)
-    payloads = [wav_bytes(apply_channel(
-        synth_source(clip_seconds, sample_rate, [seed, d, c, 0]),
-        profile, [seed, d, c, 1]))
-        for d, profile in enumerate(profiles) for c in range(clips_per_device)]
-    for entry, payload in zip(entries, payloads):
-        write_atomic(out_dir / entry.path, payload)
+               for _, c, profile in clips]
+    for start in range(0, len(clips), CHUNK_CLIPS):
+        payloads = [wav_bytes(apply_channel(
+            synth_source(clip_seconds, sample_rate, [seed, d, c, 0]),
+            profile, [seed, d, c, 1]))
+            for d, c, profile in clips[start:start + CHUNK_CLIPS]]
+        for entry, payload in zip(entries[start:], payloads):
+            write_atomic(out_dir / entry.path, payload)
 
     manifest = CorpusManifest(entries=entries, sample_rate=sample_rate,
                               seed=seed, base_dir=out_dir)

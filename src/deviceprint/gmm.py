@@ -139,21 +139,53 @@ def _exp_floored(a):
     return a
 
 
-def _posteriors(gmm, x, x2=None, bufs=None):
+# frame rows per block of a posterior pass, whose scratch is one
+# (POSTERIOR_BLOCK_ROWS, G) array
+POSTERIOR_BLOCK_ROWS = 1024
+
+
+def _row_blocks(n, size):
+    """Consecutive slices of at most `size` rows that cover range(n). A
+    block is a single row only when n is 1: numpy multiplies a one-row
+    operand through gemv, which rounds differently from the gemm that
+    multiplies the same row inside a larger block, so a lone last row
+    is left to the block before it, which then holds two."""
+    start = 0
+    while start < n:
+        stop = min(start + size, n)
+        if n - stop == 1:
+            stop -= 1
+        yield slice(start, stop)
+        start = stop
+
+
+def _posteriors(gmm, x, x2=None, out=None):
     """Responsibilities and total log-likelihood for frames x (N, M).
 
-    x2 is x ** 2 when the caller already has it. bufs, two C-ordered
-    (N, G) arrays, hold the work, and the first is returned as the
-    responsibilities; without them each call allocates its own.
+    x2 is x ** 2 when the caller already has it. The responsibilities
+    are written into out, a C-ordered (N, G) array (allocated when not
+    given), which is returned. The frames are walked in blocks of
+    POSTERIOR_BLOCK_ROWS rows with one block-sized scratch array. Each
+    row gets the same bits as from one pass over all N rows, and the
+    log-likelihood is one sum over the (N, 1) per-frame log p(x).
     """
-    lp, work = (None, None) if bufs is None else bufs
-    lp = _component_log_probs(gmm, x, x2, lp, work)
-    top = lp.max(axis=1, keepdims=True)
-    work = np.subtract(lp, top, out=work)
-    log_px = top + np.log(np.sum(_exp_floored(work), axis=1,
-                                 keepdims=True))
-    return (_exp_floored(np.subtract(lp, log_px, out=lp)),
-            float(log_px.sum()))
+    n, g = x.shape[0], gmm.n_components
+    if x2 is None:
+        x2 = x ** 2
+    out = np.empty((n, g)) if out is None else out
+    scratch = np.empty((min(n, POSTERIOR_BLOCK_ROWS), g))
+    log_px = np.empty((n, 1))
+    for rows in _row_blocks(n, POSTERIOR_BLOCK_ROWS):
+        work = scratch[:rows.stop - rows.start]
+        lp = _component_log_probs(gmm, x[rows], x2[rows], out[rows], work)
+        top = lp.max(axis=1, keepdims=True)
+        np.subtract(lp, top, out=work)
+        block_px = log_px[rows]
+        np.log(np.sum(_exp_floored(work), axis=1, keepdims=True),
+               out=block_px)
+        np.add(top, block_px, out=block_px)
+        _exp_floored(np.subtract(lp, block_px, out=lp))
+    return out, float(log_px.sum())
 
 
 def log_likelihood(gmm, frames):
@@ -186,6 +218,21 @@ def _kmeanspp_centers(x, n_centers, rng):
     return centers
 
 
+# squared differences per block of EM's initial hard assignment
+KMEANS_BLOCK = 131_072
+
+
+def _nearest_centers(x, centers):
+    """Index of the nearest center (squared distance) of each row of x,
+    in row blocks of at most KMEANS_BLOCK squared differences."""
+    assign = np.empty(x.shape[0], dtype=np.intp)
+    step = max(1, KMEANS_BLOCK // centers.size)
+    for i in range(0, x.shape[0], step):
+        block = ((x[i:i + step, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign[i:i + step] = block.argmin(axis=1)
+    return assign
+
+
 def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0):
     """Fit a diagonal-covariance mixture to an (M, N) frame matrix by EM.
 
@@ -198,8 +245,12 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0):
     `degenerate` diagnostic is set when the data has no spread at all).
 
     The squared frames are computed once, and every iteration's
-    log-probabilities and responsibilities are written into the same two
-    (N, G) buffers, with the operations `_posteriors` runs unbuffered.
+    responsibilities are written into the same (N, G) array, the one
+    buffer of that size EM holds: `_posteriors` walks it in row blocks
+    with block-sized scratch. The M-step multiplies the whole array, so
+    its sums see the same operands in the same order as an unblocked
+    pass. The initial hard assignment also runs in blocks of at most
+    KMEANS_BLOCK squared differences.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -219,12 +270,7 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0):
     floor = np.maximum(VARIANCE_FLOOR_FACTOR * global_var, 1e-12)
 
     centers = _kmeanspp_centers(x, n_components, rng)
-    # hard assignment in blocks of at most 2M squared differences
-    assign = np.empty(n, dtype=np.intp)
-    step = max(1, 2_000_000 // (n_components * m))
-    for i in range(0, n, step):
-        block = ((x[i:i + step, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign[i:i + step] = block.argmin(axis=1)
+    assign = _nearest_centers(x, centers)
 
     weights = np.empty(n_components)
     means = np.empty((n_components, m))
@@ -243,11 +289,11 @@ def em_fit(frames, n_components, max_iters=100, tol=1e-7, seed=0):
 
     gmm = DiagGmm(weights, means, variances)
     x2 = x ** 2
-    bufs = (np.empty((n, n_components)), np.empty((n, n_components)))
+    resp = np.empty((n, n_components))
     lls = []
     converged = False
     for _ in range(max_iters):
-        resp, ll = _posteriors(gmm, x, x2, bufs)
+        resp, ll = _posteriors(gmm, x, x2, resp)
         lls.append(ll)
         if len(lls) > 1 and ll - lls[-2] < tol:
             converged = True

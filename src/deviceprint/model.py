@@ -532,30 +532,36 @@ def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
 
 def ablate_frontend(frame_cfgs, mel_cfgs, manifest):
     """Grid over frame geometry and band limits, scored with the linear
-    baseline on per-clip MFCC means. Returns one row dict per cell."""
+    baseline on per-clip MFCC means. Returns one row dict per cell.
+
+    Each clip is decoded once and reduced to its mean cepstral vector
+    under every cell before the next clip is read, so the grid holds one
+    clip's samples and the cells' feature rows, not the corpus."""
     train_entries = manifest.for_split("train")
-    test_entries = manifest.for_split("test")
-    clips = {e.path: read_wav(manifest.resolve(e))
-             for e in train_entries + test_entries}
-    y_train = label_indices(manifest, train_entries)
-    y_test = label_indices(manifest, test_entries)
-    rows = []
-    for frame_cfg in frame_cfgs:
-        for mel_cfg in mel_cfgs:
-            def feats(entries):
-                return mfcc_mean_features(
-                    [clip_mfcc(e.path, clips[e.path], manifest.sample_rate,
-                               frame_cfg, mel_cfg) for e in entries])
-            clf = baseline_classifier(feats(train_entries), y_train,
-                                      n_classes=len(manifest.device_ids()))
-            rows.append({
-                "frame_len_ms": frame_cfg.frame_len_ms,
-                "frame_shift_ms": frame_cfg.frame_shift_ms,
-                "f_low": mel_cfg.f_low,
-                "f_high": mel_cfg.f_high,
-                "accuracy": clf.score(feats(test_entries), y_test),
-            })
-    return rows
+    entries = train_entries + manifest.for_split("test")
+    cells = [(frame_cfg, mel_cfg) for frame_cfg in frame_cfgs
+             for mel_cfg in mel_cfgs]
+    means = [[] for _ in cells]
+    for e in entries:
+        clip = read_wav(manifest.resolve(e))
+        for rows, (frame_cfg, mel_cfg) in zip(means, cells):
+            rows.append(clip_mfcc(e.path, clip, manifest.sample_rate,
+                                  frame_cfg, mel_cfg).coeffs.mean(axis=1))
+    labels = label_indices(manifest, entries)
+    n_train = len(train_entries)
+    results = []
+    for rows, (frame_cfg, mel_cfg) in zip(means, cells):
+        feats = np.stack(rows)
+        clf = baseline_classifier(feats[:n_train], labels[:n_train],
+                                  n_classes=len(manifest.device_ids()))
+        results.append({
+            "frame_len_ms": frame_cfg.frame_len_ms,
+            "frame_shift_ms": frame_cfg.frame_shift_ms,
+            "f_low": mel_cfg.f_low,
+            "f_high": mel_cfg.f_high,
+            "accuracy": clf.score(feats[n_train:], labels[n_train:]),
+        })
+    return results
 
 
 def format_ablation_table(rows):

@@ -32,7 +32,7 @@ from . import gmm as gmm_mod
 from . import mfcc as mfcc_mod
 from . import model as model_mod
 from .atomic import write_atomic
-from .audio import read_manifest, read_wav, synth_corpus
+from .audio import CHUNK_CLIPS, read_manifest, read_wav, synth_corpus
 from .errors import (CacheError, ConfigError, DataError, DependencyError,
                      FormatError, ShapeError)
 from .mfcc import FrameConfig, MelConfig
@@ -392,16 +392,23 @@ def _synth_step(cfg, manifest, pending, log):
     log(f"synth: manifest {path}")
 
 
-# like synth_corpus, a per-clip step computes every pending clip before it
-# writes the first: writing each one as soon as it is done measured slower
+def _in_chunks(pending, compute, save):
+    """A per-clip step: compute(inputs) of CHUNK_CLIPS pending units at a
+    time, then save(path, result) of each in order, yielding after each
+    save, as `synth_corpus` renders and writes its clips."""
+    for start in range(0, len(pending), CHUNK_CLIPS):
+        chunk = pending[start:start + CHUNK_CLIPS]
+        results = [compute(ins) for _, ins in chunk]
+        for ((path,), _), result in zip(chunk, results):
+            save(path, result)
+            yield
+
+
 def _mfcc_step(cfg, manifest, pending, log):
     frame_cfg, mel_cfg = cfg.frame_config(), cfg.mel_config()
-    cepstra = [model_mod.clip_mfcc(wav, read_wav(wav), manifest.sample_rate,
-                                   frame_cfg, mel_cfg)
-               for _, (wav,) in pending]
-    for ((path,), _), result in zip(pending, cepstra):
-        mfcc_mod.save_mfcc(path, result)
-        yield
+    yield from _in_chunks(pending, lambda ins: model_mod.clip_mfcc(
+        ins[0], read_wav(ins[0]), manifest.sample_rate, frame_cfg, mel_cfg),
+        mfcc_mod.save_mfcc)
 
 
 def _ubm_step(cfg, manifest, pending, log):
@@ -425,12 +432,9 @@ def _sgmm_step(cfg, manifest, pending, log):
     _, (ubm_path, _) = pending[0]
     ubm = _read_cached("train-ubm", gmm_mod.load_gmm, ubm_path)
     gmm_cfg = cfg.gmm_config()
-    tensors = [gmm_mod.extract_sgmm(
-        ubm, _read_cached("mfcc", mfcc_mod.load_mfcc, src),
-        gmm_cfg.seg_frames, gmm_cfg.relevance) for _, (_, src) in pending]
-    for ((path,), _), result in zip(pending, tensors):
-        gmm_mod.save_sgmm(path, result)
-        yield
+    yield from _in_chunks(pending, lambda ins: gmm_mod.extract_sgmm(
+        ubm, _read_cached("mfcc", mfcc_mod.load_mfcc, ins[1]),
+        gmm_cfg.seg_frames, gmm_cfg.relevance), gmm_mod.save_sgmm)
 
 
 def _train_step(cfg, manifest, pending, log):

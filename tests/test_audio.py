@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,43 @@ def test_corpus_deterministic(tmp_path):
     text_a = (tmp_path / "a" / "manifest.tsv").read_text()
     text_b = (tmp_path / "b" / "manifest.tsv").read_text()
     assert text_a == text_b
+
+
+def test_corpus_in_chunks_matches_clip_by_clip_rendering(tmp_path):
+    # two devices of CHUNK_CLIPS + 3 clips: chunks that straddle a device
+    # boundary and a partial last chunk, each file as rendered alone
+    clips = audio.CHUNK_CLIPS + 3
+    manifest = audio.synth_corpus(2, clips, 0.5, 8000, seed=6,
+                                  out_dir=tmp_path, clip_seconds=0.1)
+    profiles = audio.select_device_profiles(2, 8000, seed=6)
+    assert len(manifest.entries) == 2 * clips
+    for i, entry in enumerate(manifest.entries):
+        d, c = divmod(i, clips)
+        want = audio.wav_bytes(audio.apply_channel(
+            audio.synth_source(0.1, 8000, [6, d, c, 0]), profiles[d],
+            [6, d, c, 1]))
+        assert manifest.resolve(entry).read_bytes() == want
+
+
+def _corpus_peak(out_dir, clips_per_device):
+    tracemalloc.start()
+    try:
+        audio.synth_corpus(2, clips_per_device, 0.5, 16000, seed=3,
+                           out_dir=out_dir, clip_seconds=1.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_corpus_memory_does_not_grow_with_the_clip_count(tmp_path):
+    # 64 and then 128 one-second clips: the rendered payloads of one chunk
+    # are held at a time, so the peak may grow by less than one chunk of
+    # them. Holding every payload until the last clip grew it by 64
+    payload = len(audio.wav_bytes(audio.AudioClip(np.zeros(16000), 16000)))
+    _corpus_peak(tmp_path / "warm", 2)
+    growth = (_corpus_peak(tmp_path / "b", 64)
+              - _corpus_peak(tmp_path / "a", 32))
+    assert growth < audio.CHUNK_CLIPS * payload
 
 
 def test_device_firs_separated(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,28 +65,97 @@ def test_em_preconditions():
         gmm.em_fit(np.zeros((2, 10)), 2, max_iters=0)
 
 
+def _whole_array_posteriors(model, x):
+    """The posterior pass over all rows of x at once: responsibilities
+    and the (N, 1) per-frame log p(x)."""
+    lp = gmm._component_log_probs(model, x)
+    top = lp.max(axis=1, keepdims=True)
+    log_px = top + np.log(np.sum(gmm._exp_floored(lp - top), axis=1,
+                                 keepdims=True))
+    return gmm._exp_floored(lp - log_px), log_px
+
+
+# frame counts around the row blocks: less than one, several ending in a
+# partial block, and several ending in one lone row (which a one-row
+# matmul would round differently, through gemv)
+_BLOCK_EDGES = [gmm.POSTERIOR_BLOCK_ROWS - 1,
+                2 * gmm.POSTERIOR_BLOCK_ROWS + 300,
+                3 * gmm.POSTERIOR_BLOCK_ROWS + 1]
+
+
 def test_em_buffered_posteriors_match_unbuffered(monkeypatch):
-    # every posterior pass of the EM loop, run in its reused buffers, equals
-    # a fresh unbuffered pass bit for bit
-    rng = np.random.default_rng(16)
-    frames = np.hstack([rng.standard_normal((3, 150)) + c
-                        for c in (-4.0, 0.0, 5.0)])
+    # every posterior pass of the EM loop, run in row blocks within its one
+    # reused (N, G) buffer, equals a fresh unbuffered call and a
+    # whole-array pass bit for bit: 450 frames fill less than one block,
+    # and the last edge count ends in a lone row
     plain = gmm._posteriors
-    checked = []
+    for n in (450, _BLOCK_EDGES[-1]):
+        rng = np.random.default_rng(16)
+        frames = np.hstack([rng.standard_normal((3, -(-n // 3))) + c
+                            for c in (-4.0, 0.0, 5.0)])[:, :n]
+        buffers, checked = [], []
 
-    def compare(model, x, x2=None, bufs=None):
-        want_resp, want_ll = plain(model, x)
-        resp, ll = plain(model, x, x2, bufs)
-        assert bufs is not None and resp is bufs[0]
-        assert np.array_equal(x2, x ** 2)
-        assert ll == want_ll and np.array_equal(resp, want_resp)
-        checked.append(ll)
-        return resp, ll
+        def compare(model, x, x2=None, out=None):
+            want_resp, want_ll = plain(model, x)
+            whole_resp, log_px = _whole_array_posteriors(model, x)
+            resp, ll = plain(model, x, x2, out)
+            assert out is not None and resp is out
+            assert np.array_equal(x2, x ** 2)
+            assert ll == want_ll == float(log_px.sum())
+            assert (resp.tobytes() == want_resp.tobytes()
+                    == whole_resp.tobytes())
+            buffers.append(resp)
+            checked.append(ll)
+            return resp, ll
 
-    monkeypatch.setattr(gmm, "_posteriors", compare)
-    fit = gmm.em_fit(frames, 5, max_iters=8, tol=-np.inf, seed=1)
-    assert len(checked) == fit.diagnostics["iterations"] == 8
-    assert checked == fit.diagnostics["log_likelihoods"]
+        monkeypatch.setattr(gmm, "_posteriors", compare)
+        fit = gmm.em_fit(frames, 5, max_iters=8, tol=-np.inf, seed=1)
+        assert len(checked) == fit.diagnostics["iterations"] == 8
+        assert checked == fit.diagnostics["log_likelihoods"]
+        assert all(b is buffers[0] for b in buffers)
+        assert buffers[0].shape == (n, 5)
+
+
+@pytest.mark.parametrize("n_frames", _BLOCK_EDGES)
+def test_posteriors_in_row_blocks_match_one_whole_array_pass(n_frames):
+    rng = np.random.default_rng(n_frames)
+    model = _random_gmm(rng, 16, 12)
+    x = rng.standard_normal((12, n_frames)).T * 2.0
+    want_resp, log_px = _whole_array_posteriors(model, x)
+    out = np.empty((n_frames, 16))
+    resp, ll = gmm._posteriors(model, x, out=out)
+    assert resp is out
+    assert resp.tobytes() == want_resp.tobytes()
+    assert ll == float(log_px.sum())
+
+
+def test_nearest_centers_in_blocks_match_one_block():
+    # G=64 centres in 12 dims: several blocks of KMEANS_BLOCK squared
+    # differences, the last one partial
+    rng = np.random.default_rng(18)
+    centers = rng.standard_normal((64, 12))
+    step = gmm.KMEANS_BLOCK // centers.size
+    x = rng.standard_normal((12, 3 * step + 7)).T
+    want = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assert step < x.shape[0]
+    assert np.array_equal(gmm._nearest_centers(x, centers),
+                          want.argmin(axis=1))
+
+
+def test_em_holds_one_frame_by_component_array():
+    # 20 000 frames x 64 components: one (N, G) float64 array is 10.2 MB.
+    # EM's working set is that one array plus the (N, M) squared frames
+    # and block-sized scratch, a peak of 1.29 of it; two (N, G) buffers
+    # and k-means blocks of 2M differences peaked at 2.46
+    n, g = 20_000, 64
+    frames = np.random.default_rng(19).standard_normal((12, n))
+    tracemalloc.start()
+    try:
+        gmm.em_fit(frames, g, max_iters=3, tol=-np.inf, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * g * np.float64().itemsize
 
 
 def test_em_seed_deterministic():

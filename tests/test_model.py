@@ -551,6 +551,28 @@ def test_ablate_deterministic(toy_corpus):
             == model.ablate_frontend(*args)[0]["accuracy"])
 
 
+def test_ablate_memory_does_not_grow_with_the_clip_count(tmp_path):
+    # each clip is decoded once and reduced to its cells' mean vectors,
+    # so 12 more one-second clips may add less than one clip's float64
+    # samples to the peak; decoding the whole corpus first added 12
+    grid = ([mfcc.FrameConfig(256, 64)],
+            [mfcc.MelConfig(26, 0, 8000, 12),
+             mfcc.MelConfig(26, 300, 3400, 12)])
+    peaks = []
+    for clips in (6, 12):
+        manifest = audio.synth_corpus(2, clips, 0.5, 16000, seed=4,
+                                      out_dir=tmp_path / str(clips),
+                                      clip_seconds=1.0)
+        model.ablate_frontend(*grid, manifest)
+        tracemalloc.start()
+        try:
+            model.ablate_frontend(*grid, manifest)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16000 * np.float64().itemsize
+
+
 def test_small_sample_full_size_is_noop(toy_corpus):
     fc, mc = mfcc.FrameConfig(), mfcc.MelConfig()
     gc = model.GmmConfig(n_components=8, seg_frames=10, relevance=4.0, seed=3)

@@ -188,15 +188,6 @@ def _posteriors(gmm, x, x2=None, out=None):
     return out, float(log_px.sum())
 
 
-def log_likelihood(gmm, frames):
-    """Total log-likelihood of an (M, N) frame matrix under the mixture."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] != gmm.n_dims:
-        raise ShapeError(
-            f"frames must be ({gmm.n_dims}, N), got {frames.shape}")
-    return _posteriors(gmm, frames.T)[1]
-
-
 # ---------------------------------------------------------------------------
 # EM training
 # ---------------------------------------------------------------------------

@@ -436,8 +436,6 @@ class RecognitionResult:
     history: list
     ubm: object
     label_order: list
-    train_set: list
-    test_set: list
     train_mfccs: list
     test_mfccs: list
     train_labels: np.ndarray
@@ -483,27 +481,21 @@ def fit_architecture(feature_set, n_classes, **arch_kwargs):
 
 
 def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
-                    train_entries=None, test_entries=None, ubm_entries=None,
-                    **arch_kwargs):
+                    train_entries=None, **arch_kwargs):
     """Full in-memory pipeline on a corpus manifest: the cepstra of its WAV
     clips, the UBM, temporal tensors, training and evaluation.
 
-    The entries default to the manifest's train and test splits;
-    ubm_entries picks the unlabeled background pool and defaults to the
-    classifier's train_entries. The UBM is fit on ubm_entries only, the
-    network on train_entries, and evaluation runs in inference mode on
-    the untouched test_entries.
+    The UBM is fit on the manifest's train split, the network on
+    train_entries, which default to that split, and evaluation runs in
+    inference mode on the untouched test split.
     """
+    ubm_entries, test_entries = (manifest.for_split("train"),
+                                 manifest.for_split("test"))
     if train_entries is None:
-        train_entries = manifest.for_split("train")
-    if test_entries is None:
-        test_entries = manifest.for_split("test")
-    if ubm_entries is None:
-        ubm_entries = train_entries
-    needed = {e.path: e for e in train_entries + test_entries + ubm_entries}
-    mfccs = {path: clip_mfcc(path, read_wav(manifest.resolve(e)),
-                             manifest.sample_rate, frame_cfg, mel_cfg)
-             for path, e in needed.items()}
+        train_entries = ubm_entries
+    mfccs = {e.path: clip_mfcc(e.path, read_wav(manifest.resolve(e)),
+                               manifest.sample_rate, frame_cfg, mel_cfg)
+             for e in manifest.entries}
     if not train_entries or not test_entries:
         raise DataError("manifest needs both train and test entries")
     label_order = manifest.device_ids()
@@ -525,7 +517,6 @@ def run_recognition(manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
     metrics = evaluate(model, test_set, label_order=label_order)
     return RecognitionResult(model=model, metrics=metrics, history=history,
                              ubm=ubm, label_order=label_order,
-                             train_set=train_set, test_set=test_set,
                              train_mfccs=train_mfccs, test_mfccs=test_mfccs,
                              train_labels=train_labels, test_labels=test_labels)
 
@@ -576,13 +567,13 @@ def format_ablation_table(rows):
 
 
 def small_sample_split(manifest, n_train_per_class, select_seed=0):
-    """(train, test, ubm) entries of the small-sample protocol.
+    """The classifier's train entries of the small-sample protocol: every
+    device's train split truncated to n clips (seeded pick).
 
-    Every device's train split is truncated to n clips (seeded pick); the
-    test split is untouched. Only the supervised classifier set shrinks.
-    The background mixture is unsupervised infrastructure, so it keeps the
-    full training split as its pool, the way background models are reused
-    across enrollments.
+    Only the supervised classifier set shrinks. The test split is
+    untouched, and the background mixture, unsupervised infrastructure,
+    keeps the full train split as its pool, the way background models are
+    reused across enrollments.
     """
     if n_train_per_class < 1:
         raise ConfigError(f"n_train must be at least 1 clip per device, "
@@ -598,7 +589,7 @@ def small_sample_split(manifest, n_train_per_class, select_seed=0):
         picks = sorted(rng.choice(len(device_train), size=n_train_per_class,
                                   replace=False))
         truncated.extend(device_train[i] for i in picks)
-    return truncated, manifest.for_split("test"), manifest.for_split("train")
+    return truncated
 
 
 def small_sample_protocol(manifest, n_train_per_class, frame_cfg, mel_cfg,
@@ -606,5 +597,5 @@ def small_sample_protocol(manifest, n_train_per_class, frame_cfg, mel_cfg,
     """`run_recognition` on the entries of `small_sample_split`."""
     return run_recognition(
         manifest, frame_cfg, mel_cfg, gmm_cfg, train_cfg,
-        *small_sample_split(manifest, n_train_per_class, select_seed),
+        small_sample_split(manifest, n_train_per_class, select_seed),
         **arch_kwargs)

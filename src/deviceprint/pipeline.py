@@ -14,8 +14,9 @@ every artifact goes to a temp file that `os.replace` moves into place; a
 unit's sidecar is unlinked just before its outputs are replaced and is
 written after them; the stage record, which later stages check, is last.
 A sidecar vouches for its inputs, not for its outputs' bytes, so every
-cached artifact is read through `_read_cached`: a reader that refuses the
-file drops the sidecar and names the stage whose rerun rebuilds it.
+file a stage reads, the manifest and the WAVs too, is read through `_read`:
+a file that is missing or that its reader refuses drops the sidecar that
+vouches for it and names the stage whose rerun rebuilds it.
 
 Every library default lives in the dataclass that uses it; the schema
 entries that feed one read their default from it.
@@ -269,8 +270,7 @@ def _require_stage(cfg, name):
             raise DependencyError(
                 f"`{stage}` has not completed in {cfg.workdir} under "
                 f"{', '.join(changed) or 'this config'}; run `{stage}`")
-    return read_manifest(_require([cfg.workdir / STAGES["synth"].outputs[0]],
-                                  "synth")[0])
+    return _read(cfg, cfg.workdir / STAGES["synth"].outputs[0], read_manifest)
 
 
 def _run(cfg, name, log):
@@ -287,7 +287,7 @@ def _run(cfg, name, log):
                                    else out) for out in stage.outputs), ins)
              for ins in stage.inputs(cfg, manifest)]
     content = cache(lambda x: x if isinstance(x, str) else hashlib.sha256(
-        _require([x], stage.upstream)[0].read_bytes()).hexdigest())
+        _read(cfg, x)).hexdigest())
     digests = {outs[0]: _digest(text, *map(content, ins))
                for outs, ins in units}
     pending = [(outs, ins) for outs, ins in units if not (
@@ -310,35 +310,36 @@ def _run(cfg, name, log):
     return manifest if per_clip else units[0][0][0]
 
 
-def _read_cached(stage, read, path, unit=None):
-    """read(path) of an artifact that `stage` wrote. A FormatError
-    first unlinks the `.hash` sidecar that vouches for the file, the one
-    of its unit's first output `unit` (path itself by default), so that
-    the next run of `stage` rebuilds it; the error then names `stage`."""
+def _read(cfg, path, read=Path.read_bytes):
+    """read(path) of a file that a stage reads. A missing file or a
+    FormatError first unlinks the `.hash` sidecar that vouches for it, then
+    names the stage whose rerun rebuilds it: the stage whose output
+    directory holds the file, else `synth`, whose manifest lists every clip
+    wherever it lies. The sidecar is the file's own in a per-clip stage,
+    else the one of its stage's first output, so the manifest's vouches
+    for every WAV."""
     try:
         return read(path)
-    except FormatError as exc:
-        _sidecar(unit or path).unlink(missing_ok=True)
-        raise FormatError(f"{exc}; rerun `{stage}`") from exc
-
-
-def _require(paths, stage):
-    """paths, each of which must exist; `stage` is the one that writes them."""
-    for path in paths:
-        if not path.exists():
-            raise DependencyError(f"missing {path}; run `{stage}` first")
-    return paths
+    except (FileNotFoundError, FormatError) as exc:
+        name = next((n for n, s in STAGES.items() if path.parent ==
+                     cfg.workdir / Path(s.outputs[0]).parent), "synth")
+        first = STAGES[name].outputs[0]
+        _sidecar(path if "{stem}" in first else cfg.workdir / first).unlink(
+            missing_ok=True)
+        if isinstance(exc, FormatError):
+            raise FormatError(f"{exc}; rerun `{name}`") from exc
+        raise DependencyError(f"missing {path}; run `{name}` first") from exc
 
 
 def _clip_files(cfg, entries, kind):
     """Every entry's artifact from the per-clip stage `kind` (mfcc, sgmm)."""
-    return _require([cfg.workdir / kind / (Path(e.path).stem + "." + kind)
-                     for e in entries], kind)
+    return [cfg.workdir / kind / (Path(e.path).stem + "." + kind)
+            for e in entries]
 
 
 def _feature_set(cfg, manifest, entries):
     """(tensor, label) pairs of the entries, from the sgmm stage."""
-    tensors = [_read_cached("sgmm", gmm_mod.load_sgmm, path)
+    tensors = [_read(cfg, path, gmm_mod.load_sgmm)
                for path in _clip_files(cfg, entries, "sgmm")]
     return list(zip(tensors, model_mod.label_indices(manifest, entries)))
 
@@ -407,14 +408,13 @@ def _in_chunks(pending, compute, save):
 def _mfcc_step(cfg, manifest, pending, log):
     frame_cfg, mel_cfg = cfg.frame_config(), cfg.mel_config()
     yield from _in_chunks(pending, lambda ins: model_mod.clip_mfcc(
-        ins[0], read_wav(ins[0]), manifest.sample_rate, frame_cfg, mel_cfg),
-        mfcc_mod.save_mfcc)
+        ins[0], _read(cfg, ins[0], read_wav), manifest.sample_rate, frame_cfg,
+        mel_cfg), mfcc_mod.save_mfcc)
 
 
 def _ubm_step(cfg, manifest, pending, log):
     (ubm_path,), mfcc_paths = pending[0]
-    feats = [_read_cached("mfcc", mfcc_mod.load_mfcc, path)
-             for path in mfcc_paths]
+    feats = [_read(cfg, path, mfcc_mod.load_mfcc) for path in mfcc_paths]
     gmm_cfg = cfg.gmm_config()
     ubm = model_mod.train_ubm(feats, gmm_cfg)
     gmm_mod.save_gmm(ubm_path, ubm)
@@ -430,10 +430,10 @@ def _ubm_step(cfg, manifest, pending, log):
 
 def _sgmm_step(cfg, manifest, pending, log):
     _, (ubm_path, _) = pending[0]
-    ubm = _read_cached("train-ubm", gmm_mod.load_gmm, ubm_path)
+    ubm = _read(cfg, ubm_path, gmm_mod.load_gmm)
     gmm_cfg = cfg.gmm_config()
     yield from _in_chunks(pending, lambda ins: gmm_mod.extract_sgmm(
-        ubm, _read_cached("mfcc", mfcc_mod.load_mfcc, ins[1]),
+        ubm, _read(cfg, ins[1], mfcc_mod.load_mfcc),
         gmm_cfg.seg_frames, gmm_cfg.relevance), gmm_mod.save_sgmm)
 
 
@@ -512,16 +512,15 @@ def stage_eval(cfg, log=print):
     built or anything written: the manifest's labels against the arch.txt
     that `train` wrote (a hand-edited manifest), every test tensor's shape
     against its input dims (a replaced `.sgmm`), and the checkpoint's fit
-    to the network, array for array (an older layout). An unreadable
-    arch.txt or checkpoint, or one that does not fit, also drops the
-    checkpoint's sidecar, so the next `train` rewrites both instead of
+    to the network, array for array (an older layout). A missing or
+    unreadable arch.txt or checkpoint, or one that does not fit, also drops
+    the checkpoint's sidecar, so the next `train` rewrites both instead of
     calling them up to date.
     """
     manifest = _require_stage(cfg, "train")
-    ckpt, arch_path = _require([cfg.workdir / "model" / "model.ckpt",
-                                cfg.workdir / "model" / "arch.txt"], "train")
-    input_dims, label_order = _read_cached("train", _read_arch, arch_path,
-                                           unit=ckpt)
+    ckpt = cfg.workdir / "model" / "model.ckpt"
+    input_dims, label_order = _read(cfg, cfg.workdir / "model" / "arch.txt",
+                                    _read_arch)
     if label_order != manifest.device_ids():
         raise DataError(f"checkpoint labels {','.join(label_order)} differ "
                         f"from the manifest's "
@@ -536,7 +535,7 @@ def stage_eval(cfg, log=print):
                               **cfg.arch_kwargs())
     net = model_mod.build_model(arch, seed=cfg.get("train.seed"))
     try:
-        net.load_state(_read_cached("train", load_checkpoint, ckpt))
+        net.load_state(_read(cfg, ckpt, load_checkpoint))
     except (ConfigError, ShapeError) as exc:
         _sidecar(ckpt).unlink(missing_ok=True)
         raise DataError(f"{ckpt} does not fit the configured network "
@@ -566,11 +565,11 @@ def stage_small_sample(cfg, n_train, log=print):
     evaluated on the test split's; the UBM behind every tensor is the
     `train-ubm` stage's, fit on the full train split."""
     manifest = _require_stage(cfg, "sgmm")
-    train_entries, test_entries, _ = model_mod.small_sample_split(
-        manifest, n_train, cfg.get("train.seed"))
-    net, _ = _fit(cfg, manifest, train_entries)
-    metrics = model_mod.evaluate(net, _feature_set(cfg, manifest, test_entries),
-                                 label_order=manifest.device_ids())
+    net, _ = _fit(cfg, manifest, model_mod.small_sample_split(
+        manifest, n_train, cfg.get("train.seed")))
+    metrics = model_mod.evaluate(
+        net, _feature_set(cfg, manifest, manifest.for_split("test")),
+        label_order=manifest.device_ids())
     _write_metrics(cfg.workdir / "small_sample", metrics, log)
     log(f"small-sample: n={n_train}/class, accuracy {metrics.accuracy:.4f}")
     return metrics

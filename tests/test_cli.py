@@ -11,7 +11,8 @@ import pytest
 from deviceprint import atomic, audio, gmm, mfcc, model, nn, pipeline
 from deviceprint.cli import main
 from deviceprint.errors import (CacheError, ConfigError, DataError,
-                                DependencyError, FormatError, ShapeError)
+                                DependencyError, FormatError, PipelineError,
+                                ShapeError)
 
 TINY = """
 corpus.devices = 3
@@ -555,9 +556,12 @@ def test_unreadable_train_output_is_retrained(trained_cfg, name):
 
 
 def test_eval_requires_arch(trained_cfg):
-    (trained_cfg.workdir / "model" / "arch.txt").unlink()
+    model_dir = trained_cfg.workdir / "model"
+    (model_dir / "arch.txt").unlink()
     with pytest.raises(DependencyError, match="train"):
         pipeline.stage_eval(trained_cfg, log=lambda *a: None)
+    # the checkpoint's sidecar vouches for every output of `train`
+    assert not pipeline._sidecar(model_dir / "model.ckpt").exists()
 
 
 def test_cli_eval_reports_stale_checkpoint(trained_cfg, tmp_path, capsys):
@@ -683,6 +687,49 @@ def test_damaged_artifact_is_rebuilt_by_the_stage_the_error_names(
     for later in ("train-ubm", "sgmm", "train", "eval"):
         assert main([later, "--config", path]) == 0
     assert metrics.read_bytes() == undamaged
+
+
+def _first_wav(cfg):
+    manifest = audio.read_manifest(cfg.workdir / "corpus" / "manifest.tsv")
+    return manifest.resolve(manifest.entries[0])
+
+
+@pytest.mark.parametrize("damage, command", [
+    (lambda cfg: _first_wav(cfg).unlink(), "mfcc"),
+    (lambda cfg: _half(_first_wav(cfg)), "mfcc"),
+    (lambda cfg: _half(cfg.workdir / "corpus" / "manifest.tsv"), "train_ubm"),
+], ids=["deleted_wav", "truncated_wav", "short_manifest"])
+def test_damaged_corpus_is_rebuilt_by_synth(tiny_cfg, damage, command):
+    # the manifest's sidecar vouches for the manifest and every clip it
+    # lists, so a stage that finds either missing or malformed drops it
+    for stage in CHAIN[:CHAIN.index(command) + 1]:
+        getattr(pipeline, f"stage_{stage}")(tiny_cfg, log=_quiet)
+    built = _file_digests(tiny_cfg.workdir)
+    damage(tiny_cfg)
+    with pytest.raises(PipelineError, match="`synth`"):
+        getattr(pipeline, f"stage_{command}")(tiny_cfg, log=_quiet)
+    lines = []
+    pipeline.stage_synth(tiny_cfg, log=lines.append)
+    assert lines[0].startswith("synth: wrote 18 clips")
+    getattr(pipeline, f"stage_{command}")(tiny_cfg, log=_quiet)
+    assert _file_digests(tiny_cfg.workdir) == built
+
+
+def test_a_clip_in_a_subdirectory_of_the_corpus_builds(tiny_cfg):
+    pipeline.stage_synth(tiny_cfg, log=_quiet)
+    corpus, wav = tiny_cfg.workdir / "corpus", _first_wav(tiny_cfg)
+    (corpus / "sub").mkdir()
+    wav.rename(corpus / "sub" / wav.name)
+    manifest = corpus / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace(wav.name,
+                                                     f"sub/{wav.name}", 1))
+    lines = []
+    pipeline.stage_mfcc(tiny_cfg, log=lines.append)
+    assert lines == ["mfcc: 18 extracted, 0 up to date (18 clips)"]
+    assert (tiny_cfg.workdir / "mfcc" / f"{wav.stem}.mfcc").exists()
+    (corpus / "sub" / wav.name).unlink()
+    with pytest.raises(DependencyError, match="run `synth` first"):
+        pipeline.stage_mfcc(tiny_cfg, log=_quiet)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e-05"])

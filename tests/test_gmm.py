@@ -172,7 +172,7 @@ def test_em_seed_deterministic():
 
 def test_log_likelihood_at_mode():
     model = gmm.DiagGmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-    ll = gmm.log_likelihood(model, np.zeros((2, 1)))
+    ll = gmm._posteriors(model, np.zeros((1, 2)))[1]
     assert ll == pytest.approx(np.log(1.0 / (2 * np.pi)), abs=1e-12)
 
 
@@ -180,8 +180,8 @@ def test_log_likelihood_additive():
     rng = np.random.default_rng(4)
     model = _random_gmm(rng, 3, 2)
     frames = rng.standard_normal((2, 20))
-    single = gmm.log_likelihood(model, frames)
-    doubled = gmm.log_likelihood(model, np.hstack([frames, frames]))
+    single = gmm._posteriors(model, frames.T)[1]
+    doubled = gmm._posteriors(model, np.hstack([frames, frames]).T)[1]
     assert doubled == pytest.approx(2 * single)
 
 
@@ -199,7 +199,8 @@ def test_log_likelihood_naive_oracle():
                             / np.sqrt(2 * np.pi * model.variances[g]))
             p += model.weights[g] * gauss
         naive += np.log(p)
-    assert gmm.log_likelihood(model, frames) == pytest.approx(naive, abs=1e-9)
+    assert gmm._posteriors(model, frames.T)[1] == pytest.approx(naive,
+                                                              abs=1e-9)
 
 
 def test_posteriors_zero_only_what_exp_underflows():
@@ -220,12 +221,6 @@ def test_posteriors_zero_only_what_exp_underflows():
     assert ll == float(log_px.sum())
     assert np.max(np.abs(resp - plain)) <= 1e-300
     assert np.all(resp[lp - log_px < -700.0] == 0.0)
-
-
-def test_log_likelihood_shape_error():
-    model = gmm.DiagGmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-    with pytest.raises(ShapeError):
-        gmm.log_likelihood(model, np.zeros((3, 5)))
 
 
 # --- MAP adaptation ---------------------------------------------------------
@@ -354,6 +349,9 @@ def test_sgmm_segment_permutation_equivariance():
 
 def _oracle_input(rng, case):
     """(UBM, MFCC matrix, segment length) for one oracle input."""
+    if case in ("two-frame segments", "one-frame segments"):
+        return (_random_gmm(rng, 16, 4), _mfcc(rng.standard_normal((4, 40))),
+                2 if case == "two-frame segments" else 1)
     if case == "far component":
         base = _random_gmm(rng, 6, 4)
         means = base.means.copy()
@@ -372,8 +370,12 @@ def _oracle_input(rng, case):
     return gmm.em_fit(frames(1280), 64, seed=0), _mfcc(frames(61)), 10
 
 
-@pytest.mark.parametrize("relevance", [0.0, 4.0])
-@pytest.mark.parametrize("case", ["far component", "shipped geometry"])
+# at relevance 0 a one-frame segment moves every component it touches onto
+# that frame, so min-max normalization would scale rounding noise to [0, 1]
+@pytest.mark.parametrize("case, relevance", [
+    (case, relevance) for case in ("far component", "shipped geometry",
+                                   "two-frame segments")
+    for relevance in (0.0, 4.0)] + [("one-frame segments", 4.0)])
 def test_sgmm_matches_per_segment_map_oracle(case, relevance):
     # oracle: map_adapt_means per segment, transposed and normalized, then
     # stacked. Far component: component 5 sits so far away that no segment
@@ -387,14 +389,20 @@ def test_sgmm_matches_per_segment_map_oracle(case, relevance):
     untouched = resp.reshape(n_segments, seg_frames, -1).sum(axis=1) == 0.0
     if case == "far component":
         assert np.all(untouched[:, 5])
-    else:
+    elif case == "shipped geometry":
         assert np.all(untouched.sum(axis=1) > 32)
     want = np.stack([gmm.minmax_normalize(
         gmm.map_adapt_means(ubm, segment, relevance).T)
         for segment in np.split(used, n_segments, axis=1)], axis=2)
     got = gmm.extract_sgmm(ubm, mat, seg_frames, relevance)
     assert got.data.shape == (ubm.n_dims, ubm.n_components, n_segments)
-    assert np.array_equal(got.data, want)
+    if seg_frames == 1:
+        # the oracle's one-row posterior pass goes through numpy's gemv,
+        # while extract_sgmm's whole-clip pass takes the same row in gemm,
+        # which may round the last bit differently
+        assert np.max(np.abs(got.data - want)) <= 1e-15
+    else:
+        assert np.array_equal(got.data, want)
 
 
 def test_sgmm_rejects_bad_relevance_and_dims():
